@@ -7,6 +7,7 @@ environment variable supplies the seed when --seed is absent.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -48,7 +49,7 @@ def _load_instance(ctx, path) -> model.Instance:
         _fail(ctx, EXIT_USAGE, f"bad instance file {path}: {exc}")
 
 
-def _load_caps(ctx, path):
+def _load_caps(ctx, path, inst: model.Instance):
     if path is None:
         return None
     try:
@@ -58,10 +59,29 @@ def _load_caps(ctx, path):
         _fail(ctx, EXIT_IO, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail(ctx, EXIT_USAGE, f"bad caps file {path}: {exc}")
-    try:
-        return {int(k): int(v) for k, v in raw.items()}
-    except (AttributeError, ValueError):
+    if not isinstance(raw, dict):
         _fail(ctx, EXIT_USAGE, f"caps file {path} must map ue-id to limit")
+    caps = {}
+    for key, limit in raw.items():
+        try:
+            node = int(key)
+        except ValueError:
+            node = None
+        if node not in inst.node_ids:
+            _fail(ctx, EXIT_USAGE, f"caps file {path}: key {key!r} is not a "
+                  f"node id of the instance ({inst.node_ids.start}..{inst.n})")
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+            _fail(ctx, EXIT_USAGE, f"caps file {path}: key {key!r}: limit must "
+                  f"be a non-negative integer, got {limit!r}")
+        caps[node] = limit
+    return caps
+
+
+def _threshold(ctx, rho: float):
+    """``--rho`` as an exact int when integral; it must be finite."""
+    if not math.isfinite(rho):
+        _fail(ctx, EXIT_USAGE, f"--rho must be a finite number, got {rho}")
+    return int(rho) if rho.is_integer() else rho
 
 
 @click.group()
@@ -112,9 +132,9 @@ def gen(ctx, n, seed, edge_server, out):
 @click.pass_context
 def solve(ctx, rho, mode, caps_path, instance):
     """Solve an instance optimally by exhaustive search."""
+    rho = _threshold(ctx, rho)
     inst = _load_instance(ctx, instance)
-    caps = _load_caps(ctx, caps_path)
-    rho = int(rho) if float(rho).is_integer() else rho
+    caps = _load_caps(ctx, caps_path, inst)
     try:
         sol = solve_exhaustive(inst, rho, caps=caps, mode=mode)
     except Infeasible:
@@ -157,12 +177,12 @@ def simulate(ctx, rho, rho_rule, transport, caps_path, edge_server, seed,
     """Run one episode of the two-phase distributed protocol."""
     if (rho is None) == (rho_rule is None):
         _fail(ctx, EXIT_USAGE, "give exactly one of --rho or --rho-rule")
+    if rho is not None:
+        rho = _threshold(ctx, rho)
     inst = _load_instance(ctx, instance)
-    caps = _load_caps(ctx, caps_path)
+    caps = _load_caps(ctx, caps_path, inst)
     if rho_rule is not None:
         rho = harness.rho_rule(inst, rho_rule)
-    else:
-        rho = int(rho) if float(rho).is_integer() else rho
     cfg = protocol.ProtocolConfig(rho=rho, transport=transport, caps=caps,
                                   edge_server_policy=edge_server)
     outcome = protocol.run_episode(inst, cfg, _seed_default(seed))

@@ -39,6 +39,15 @@ def _check_score(value, field_path: str):
         raise InstanceFormatError(f"score {value!r} outside [0,10]", field_path)
 
 
+def _check_scores(values, field_path: str):
+    """``_check_score`` on each entry, in one pass when all are plain ints."""
+    if (set(map(type, values)) == {int}
+            and SCORE_MIN <= min(values) and max(values) <= SCORE_MAX):
+        return
+    for i, v in enumerate(values):
+        _check_score(v, f"{field_path}[{i}]")
+
+
 @dataclass(frozen=True)
 class Instance:
     """N regular devices (ids 1..n) plus an optional edge server at id 0.
@@ -66,11 +75,9 @@ class Instance:
             if len(row) != size:
                 raise InstanceFormatError(
                     f"row has {len(row)} entries, expected {size}", f"lxi[{r}]")
-        for i, v in enumerate(self.lii):
-            _check_score(v, f"lii[{i}]")
+        _check_scores(self.lii, "lii")
         for r, row in enumerate(self.lxi):
-            for c, v in enumerate(row):
-                _check_score(v, f"lxi[{r}][{c}]")
+            _check_scores(row, f"lxi[{r}]")
             if row[r] != 0:
                 raise InstanceFormatError("diagonal must be zero", f"lxi[{r}][{r}]")
         if self.has_edge_server:
@@ -132,12 +139,21 @@ class Instance:
             if key not in data:
                 raise InstanceFormatError("missing required field", key)
         n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InstanceFormatError(f"must be a positive integer, got {n!r}", "n")
+        lii, lxi = data["lii"], data["lxi"]
+        if not isinstance(lii, list):
+            raise InstanceFormatError("must be a list of scores", "lii")
+        if not isinstance(lxi, list):
+            raise InstanceFormatError("must be a list of rows", "lxi")
+        for r, row in enumerate(lxi):
+            if not isinstance(row, list):
+                raise InstanceFormatError("row must be a list of scores",
+                                          f"lxi[{r}]")
         return cls(
             n=n,
-            lii=tuple(data["lii"]),
-            lxi=tuple(tuple(row) for row in data["lxi"]),
+            lii=tuple(lii),
+            lxi=tuple(tuple(row) for row in lxi),
             has_edge_server=bool(data.get("edge_server", False)),
         )
 
@@ -167,17 +183,34 @@ def generate_instance(n: int, seed: int,
     """
     if n < 1:
         raise ModelError("n must be >= 1")
-    rng = random.Random(seed)
-    lii = tuple(rng.randint(SCORE_MIN, SCORE_MAX) for _ in range(n))
-    lxi = tuple(
-        tuple(0 if c == r else rng.randint(SCORE_MIN, SCORE_MAX) for c in range(n))
-        for r in range(n)
-    )
-    inst = Instance(n=n, lii=lii, lxi=lxi)
+    draws = _uniform_scores(random.Random(seed), n * n)
+    rows = []
+    for r in range(n):
+        p = n + r * (n - 1)  # row r's off-diagonal draws start here
+        rows.append(tuple(draws[p:p + r]) + (0,) + tuple(draws[p + r:p + n - 1]))
+    inst = Instance(n=n, lii=tuple(draws[:n]), lxi=tuple(rows))
     if edge_server is not None:
         lii0, lxi_to_edge = edge_server
         inst = attach_edge_server(inst, lii0, lxi_to_edge)
     return inst
+
+
+# randint(0, 10) is the top 4 bits of one 32-bit Mersenne Twister output,
+# drawn again while above 10 (Random._randbelow). getrandbits(32 * k) returns
+# k such outputs, the first in the lowest bits, so the same scores can be
+# read off in bulk: the top byte of each little-endian word, shifted.
+_TOP_NIBBLE = bytes(b >> 4 for b in range(256))
+_REJECTED = bytes(range((SCORE_MAX + 1) << 4, 256))
+
+
+def _uniform_scores(rng: random.Random, count: int) -> bytes:
+    """The next ``count`` values of ``rng.randint(0, 10)``, in order."""
+    out = b""
+    while len(out) < count:
+        words = (count - len(out)) * 16 // 11 + 64
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        out += raw[3::4].translate(_TOP_NIBBLE, _REJECTED)
+    return out[:count]
 
 
 def attach_edge_server(inst: Instance, lii0,

@@ -11,13 +11,24 @@ barrier: all requests and replies of a phase are delivered before the
 timer event fires. Delivery order within a round is a seeded permutation
 (it only matters under capacities, where leaders serve first come first
 serve).
+
+The barrier also means that every receiver of an announcement round hears
+the same announcers, so the simulator keeps one table of ``(-lii, sender)``
+pairs per round, sorted once, and all its receivers share it. Devices rank
+candidates from their stored score row; a follower requests its best
+candidate and ranks the rest only when that one answers NACK. The message log counts messages
+per (phase, kind, transport) as they are sent and keeps a p2p announcement
+as one entry for all its recipients; the per-recipient messages are built
+only when ``EpisodeOutcome.messages`` or ``write_log`` reads the log.
 """
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
     DEFAULT_EDGE_LII,
@@ -27,7 +38,6 @@ from .model import (
     Assignment,
     Instance,
     attach_edge_server,
-    li_score,
     utility as assignment_utility,
 )
 
@@ -124,19 +134,31 @@ class ProtocolConfig:
 
 @dataclass(slots=True)
 class LocalView:
-    """What a single device knows a priori: its own scores only."""
+    """What a single device knows a priori: its own scores only.
+
+    ``lxi_row[n - offset]`` is the device's willingness to follow peer n;
+    the simulator passes the instance's stored row, read in place.
+    """
     id: int
     lii: object
-    lxi_row: Mapping  # peer id -> willingness to follow that peer
+    lxi_row: Sequence
+    offset: int = 0
+
+
+def _view(inst: Instance, n: int) -> LocalView:
+    return LocalView(n, inst.lii_of(n), inst.lxi[inst._idx(n)],
+                     inst.node_ids.start)
 
 
 @dataclass(slots=True)
 class NodeState:
     id: int
     role: str = FOLLOWER
-    known_liis: dict = field(default_factory=dict)        # phase-1 announcers
-    phase2_liis: dict = field(default_factory=dict)       # phase-2 announcers
-    leader_candidates: list = field(default_factory=list)  # ids, best first
+    # announcers as sorted (-lii, id) pairs: highest lii first, then lowest id
+    known_liis: list = field(default_factory=list)        # phase 1
+    phase2_liis: list = field(default_factory=list)       # phase 2
+    # ids still to try, best first; None while only the best was requested
+    leader_candidates: Optional[list] = field(default_factory=list)
     followers: set = field(default_factory=set)
     capacity_remaining: Optional[int] = None
     leader: Optional[int] = None
@@ -152,26 +174,43 @@ def partition(inst: Instance, rho):
 
 def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
     """Best candidate by combined score, refusing anyone scored zero."""
-    best = None
-    best_score = None
-    for n in sorted(candidates):
-        if n == m or inst.lxi_of(m, n) <= 0:
-            continue
-        s = li_score(inst, m, n)
-        if best_score is None or s > best_score:
-            best, best_score = n, s
-    return best
+    return _best_candidate(_view(inst, m),
+                           sorted((-inst.lii_of(n), n) for n in candidates))
 
 
-def _rank_candidates(view: LocalView, liis: Mapping) -> list:
-    """Candidate ids ordered by descending combined score, lowest id first."""
-    scored = [
-        (-(liis[n] + view.lxi_row[n]), n)
-        for n in liis
-        if n != view.id and view.lxi_row.get(n, 0) > 0
-    ]
+def _rank_candidates(view: LocalView, announcers: Sequence) -> list:
+    """Candidate ids by descending ``lii + lxi``, lowest id first on ties.
+
+    ``announcers`` holds ``(-lii, id)`` pairs. The device itself, ids below
+    ``view.offset`` (which would index the row from its end) and candidates
+    it scores zero are left out.
+    """
+    row, off, me = view.lxi_row, view.offset, view.id
+    scored = [(neg - row[n - off], n) for neg, n in announcers
+              if n != me and n >= off and row[n - off] > 0]
     scored.sort()
     return [n for _, n in scored]
+
+
+def _best_candidate(view: LocalView, announcers: Sequence) -> Optional[int]:
+    """The first id of ``_rank_candidates(view, announcers)``, or None.
+
+    ``announcers`` must be sorted. No lxi exceeds SCORE_MAX, so the scan
+    stops at the first lii that can no longer reach the best total found.
+    """
+    row, off, me = view.lxi_row, view.offset, view.id
+    best = best_key = None
+    for neg, n in announcers:
+        if best is not None and neg - SCORE_MAX > best_key:
+            break
+        if n != me and n >= off:
+            lxi = row[n - off]
+            if lxi > 0:
+                key = neg - lxi
+                if (best is None or key < best_key
+                        or (key == best_key and n < best)):
+                    best, best_key = n, key
+    return best
 
 
 def on_event(state: NodeState, event, cfg: ProtocolConfig, view: LocalView):
@@ -219,16 +258,24 @@ def _on_phase_start(state, event, cfg, view):
     raise ProtocolViolation(f"bad phase {event.phase}")
 
 
+def _request_best(state: NodeState, view: LocalView, announcers: list,
+                  phase: int) -> list:
+    target = _best_candidate(view, announcers)
+    if target is None:
+        state.leader_candidates = []
+        return []
+    state.leader_candidates = None  # the rest are ranked on the first NACK
+    return [Message(FOLLOW_REQUEST, state.id, target, phase, 0, P2P)]
+
+
 def _on_timer_started(state, event, cfg, view):
     if event.phase == 1:
         if state.role == FOLLOWER:
-            state.leader_candidates = _rank_candidates(view, state.known_liis)
-            return _request(state, 1)
+            return _request_best(state, view, state.known_liis, 1)
         return []
     if event.phase == 2:
         if state.role == ISOLATED_LEADER:
-            state.leader_candidates = _rank_candidates(view, state.phase2_liis)
-            return _request(state, 2)
+            return _request_best(state, view, state.phase2_liis, 2)
         return []
     raise ProtocolViolation(f"bad phase {event.phase}")
 
@@ -241,10 +288,10 @@ def _on_timer_expired(state, event, cfg, view):
 
 def _on_message(state, msg: Message, cfg, view):
     if msg.kind == ANNOUNCE:
-        state.known_liis[msg.sender] = msg.lii
+        insort(state.known_liis, (-msg.lii, msg.sender))
         return []
     if msg.kind == PHASE2_ANNOUNCE:
-        state.phase2_liis[msg.sender] = msg.lii
+        insort(state.phase2_liis, (-msg.lii, msg.sender))
         return []
     if msg.kind == FOLLOW_REQUEST:
         if state.role not in (CANDIDATE_LEADER, LEADER_WITH_FOLLOWERS):
@@ -265,8 +312,60 @@ def _on_message(state, msg: Message, cfg, view):
     if msg.kind == NACK:
         if state.role not in (FOLLOWER, ISOLATED_LEADER):
             raise ProtocolViolation(f"unexpected NACK at {state.id}")
+        if state.leader_candidates is None:
+            liis = state.known_liis if state.phase == 1 else state.phase2_liis
+            # the best candidate, just refused, heads the full ranking
+            state.leader_candidates = _rank_candidates(view, liis)[1:]
         return _request(state, state.phase)
     raise ProtocolViolation(f"unknown message kind {msg.kind}")
+
+
+@dataclass
+class MessageLog:
+    """The messages of one protocol run, in send order.
+
+    ``tally`` counts them per (phase, kind, transport) as they are sent. A
+    p2p announcement is one ``(template, recipients)`` entry: the template
+    has no receiver, and it stands for one message to every recipient but
+    its sender. Those messages are built only when the log is read.
+    """
+    entries: list = field(default_factory=list)
+    tally: dict = field(default_factory=dict)
+
+    def add(self, msg: Message) -> None:
+        self.entries.append(msg)
+        self._count(msg, 1)
+
+    def add_fanout(self, template: Message, recipients: tuple) -> None:
+        """Log ``template`` once to each of the sorted ``recipients`` but
+        its sender."""
+        i = bisect_left(recipients, template.sender)
+        k = len(recipients) - (recipients[i:i + 1] == (template.sender,))
+        if k:
+            self.entries.append((template, recipients))
+            self._count(template, k)
+
+    def _count(self, msg: Message, k: int) -> None:
+        key = (msg.phase, msg.kind, msg.transport)
+        self.tally[key] = self.tally.get(key, 0) + k
+
+    def __len__(self) -> int:
+        return sum(self.tally.values())
+
+    def __iter__(self):
+        for entry in self.entries:
+            if entry.__class__ is Message:
+                yield entry
+                continue
+            t, recipients = entry
+            for r in recipients:
+                if r != t.sender:
+                    yield Message(t.kind, t.sender, r, t.phase, t.round,
+                                  t.transport, t.lii)
+
+
+def _json_line(msg: Message) -> str:
+    return json.dumps(msg.to_json_dict(), sort_keys=True) + "\n"
 
 
 @dataclass
@@ -274,34 +373,42 @@ class SimulationResult:
     leaders: set
     follows: dict
     unresolved: set  # regular UEs that found no role
-    messages: list
+    log: MessageLog
     rounds: int
     leader_set_phase1: set
-
-
-def _materialize(msg: Message, recipients, rnd: int, transport: str):
-    """Expand an emitted message into log entries + (receiver, msg) deliveries."""
-    if msg.receiver is not None:
-        entry = Message(msg.kind, msg.sender, msg.receiver, msg.phase,
-                        rnd, P2P, msg.lii)
-        return [entry], [(msg.receiver, entry)]
-    if transport == BROADCAST:
-        entry = Message(msg.kind, msg.sender, None, msg.phase,
-                        rnd, BROADCAST, msg.lii)
-        return [entry], [(r, entry) for r in recipients]
-    entries = [Message(msg.kind, msg.sender, r, msg.phase, rnd, P2P, msg.lii)
-               for r in recipients]
-    return entries, list(zip(recipients, entries))
 
 
 def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                       rng: random.Random) -> SimulationResult:
     """Run both phases over all regular UEs; the edge server never takes part."""
     ids = sorted(inst.ue_ids)
-    views = {n: LocalView(n, inst.lii_of(n), inst.lxi_row(n)) for n in ids}
+    views = {n: _view(inst, n) for n in ids}
     states = {n: NodeState(id=n) for n in ids}
-    log: list = []
+    log = MessageLog()
     rnd = 0
+
+    def announce(event, group: tuple) -> list:
+        # Each announcer reaches every other member of group. The round's
+        # sorted (-lii, sender) table is returned for the whole group to share.
+        table = []
+        for n in ids:
+            for out in on_event(states[n], event, cfg, views[n]):
+                entry = Message(out.kind, n, None, out.phase, rnd,
+                                cfg.transport, out.lii)
+                if cfg.transport == BROADCAST:
+                    log.add(entry)
+                else:
+                    log.add_fanout(entry, group)
+                table.append((-out.lii, n))
+        table.sort()
+        return table
+
+    def send(out: Message, rnd: int, queue: list) -> None:
+        # the logged copy of a point-to-point message sent in round rnd
+        entry = Message(out.kind, out.sender, out.receiver, out.phase, rnd,
+                        P2P, out.lii)
+        log.add(entry)
+        queue.append((entry.receiver, entry))
 
     def deliver_requests(pending):
         # pending: list of (receiver, message); leaders serve in delivery order
@@ -315,59 +422,42 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
             responses = []
             for receiver, msg in pending:
                 for out in on_event(states[receiver], msg, cfg, views[receiver]):
-                    entries, deliveries = _materialize(out, [], rnd, cfg.transport)
-                    log.extend(entries)
-                    responses.extend(deliveries)
+                    send(out, rnd, responses)
             pending = []
             for receiver, msg in responses:
                 for out in on_event(states[receiver], msg, cfg, views[receiver]):
-                    entries, deliveries = _materialize(out, [], rnd, cfg.transport)
-                    log.extend(entries)
-                    pending.extend(deliveries)
+                    send(out, rnd, pending)
 
     # Phase 1: announcements
-    announce_deliveries = []
+    known = announce(PhaseStart(1), tuple(ids))
     for n in ids:
-        for out in on_event(states[n], PhaseStart(1), cfg, views[n]):
-            recipients = [r for r in ids if r != n]
-            entries, deliveries = _materialize(out, recipients, rnd, cfg.transport)
-            log.extend(entries)
-            announce_deliveries.extend(deliveries)
-    for receiver, msg in announce_deliveries:
-        # inlined ANNOUNCE branch of _on_message: record and stay silent
-        states[receiver].known_liis[msg.sender] = msg.lii
+        states[n].known_liis = known
     leader_set_phase1 = {n for n in ids if states[n].role == CANDIDATE_LEADER}
 
     # Phase 1: follower requests (plus NACK retries under capacities)
     pending = []
+    timer = TimerStarted(1)
     for n in ids:
-        for out in on_event(states[n], TimerStarted(1), cfg, views[n]):
-            entries, deliveries = _materialize(out, [], rnd + 1, cfg.transport)
-            log.extend(entries)
-            pending.extend(deliveries)
+        for out in on_event(states[n], timer, cfg, views[n]):
+            send(out, rnd + 1, pending)
     deliver_requests(pending)
 
+    timer = TimerExpired(1)
     for n in ids:
-        on_event(states[n], TimerExpired(1), cfg, views[n])
+        on_event(states[n], timer, cfg, views[n])
 
     # Phase 2: re-announcements go to the phase-1 candidate set
     rnd += 1
-    announce_deliveries = []
-    for n in ids:
-        for out in on_event(states[n], PhaseStart(2), cfg, views[n]):
-            recipients = sorted(leader_set_phase1 - {n})
-            entries, deliveries = _materialize(out, recipients, rnd, cfg.transport)
-            log.extend(entries)
-            announce_deliveries.extend(deliveries)
-    for receiver, msg in announce_deliveries:
-        states[receiver].phase2_liis[msg.sender] = msg.lii
+    group = tuple(sorted(leader_set_phase1))
+    heard = announce(PhaseStart(2), group)
+    for n in group:
+        states[n].phase2_liis = heard
 
     pending = []
+    timer = TimerStarted(2)
     for n in ids:
-        for out in on_event(states[n], TimerStarted(2), cfg, views[n]):
-            entries, deliveries = _materialize(out, [], rnd, cfg.transport)
-            log.extend(entries)
-            pending.extend(deliveries)
+        for out in on_event(states[n], timer, cfg, views[n]):
+            send(out, rnd, pending)
     deliver_requests(pending)
 
     leaders = {n for n in ids
@@ -383,42 +473,59 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
 class EpisodeOutcome:
     assignment: Assignment
     utility: object
-    messages: tuple
+    log: MessageLog                  # phase 1 and 2 traffic
+    fallback_messages: tuple         # the edge-server exchange, sent last
     scenario: Optional[str]
     edge_server_used: bool
     rounds: int
     leader_set_phase1: frozenset
-    fallback_message_count: int
     effective_instance: Instance
     centralized_messages: int  # reference count for the one-shot central scheme
 
     @property
+    def message_counts(self) -> dict:
+        """Messages per (phase, kind, transport), fallback exchange included."""
+        table = dict(self.log.tally)
+        for m in self.fallback_messages:
+            key = (m.phase, m.kind, m.transport)
+            table[key] = table.get(key, 0) + 1
+        return table
+
+    @property
     def counts(self) -> dict:
         by = {}
-        for m in self.messages:
-            key = (m.phase, m.transport)
-            by[key] = by.get(key, 0) + 1
+        for (phase, _, transport), k in self.message_counts.items():
+            by[(phase, transport)] = by.get((phase, transport), 0) + k
         return by
 
     @property
+    def fallback_message_count(self) -> int:
+        return len(self.fallback_messages)
+
+    @property
     def total_messages(self) -> int:
-        return len(self.messages)
+        return self.protocol_messages + self.fallback_message_count
 
     @property
     def protocol_messages(self) -> int:
         """Phase 1 + 2 traffic, excluding the edge-server fallback exchange."""
-        return len(self.messages) - self.fallback_message_count
+        return len(self.log)
 
     def messages_per_phase(self) -> dict:
         per = {1: 0, 2: 0}
-        for m in self.messages[:len(self.messages) - self.fallback_message_count]:
-            per[m.phase] += 1
+        for (phase, _, _), k in self.log.tally.items():
+            per[phase] += k
         return per
+
+    @cached_property
+    def messages(self) -> tuple:
+        """Every message in send order, built from the log on first use."""
+        return tuple(self.log) + self.fallback_messages
 
     def write_log(self, path) -> None:
         with open(path, "w") as fh:
-            for m in self.messages:
-                fh.write(json.dumps(m.to_json_dict(), sort_keys=True) + "\n")
+            fh.writelines(map(_json_line, self.log))
+            fh.writelines(map(_json_line, self.fallback_messages))
 
     def to_json_dict(self) -> dict:
         d = self.assignment.to_json_dict()
@@ -516,16 +623,16 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     scenario = detect_scenario(inst, cfg.rho)
 
     if scenario == SCENARIO_3:
-        sim = SimulationResult(set(), {}, set(inst.ue_ids), [], 0, set())
+        sim = SimulationResult(set(), {}, set(inst.ue_ids), MessageLog(), 0,
+                               set())
     else:
         sim = simulate_protocol(inst, cfg, rng)
 
     leaders = set(sim.leaders)
     follows = dict(sim.follows)
-    messages = list(sim.messages)
     effective = inst
     edge_used = False
-    fallback_count = 0
+    fallback = ()
 
     if sim.unresolved:
         fb = run_fallback_process(inst, cfg.rho, cfg, sim.unresolved, rng)
@@ -534,13 +641,11 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
             sim = fb.sim
             leaders = set(fb.sim.leaders)
             follows = dict(fb.sim.follows)
-            messages = list(fb.sim.messages)
         follows.update(fb.extra_follows)
         if fb.edge_server_used:
             leaders.add(EDGE_SERVER_ID)
             edge_used = True
-        messages.extend(fb.messages)
-        fallback_count = len(fb.messages)
+        fallback = tuple(fb.messages)
 
     isolated = set(effective.node_ids) - leaders - set(follows)
     assignment = Assignment.build(leaders, follows, isolated)
@@ -548,12 +653,12 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     return EpisodeOutcome(
         assignment=assignment,
         utility=util,
-        messages=tuple(messages),
+        log=sim.log,
+        fallback_messages=fallback,
         scenario=scenario,
         edge_server_used=edge_used,
         rounds=sim.rounds,
         leader_set_phase1=frozenset(sim.leader_set_phase1),
-        fallback_message_count=fallback_count,
         effective_instance=effective,
         centralized_messages=inst.n + 1,
     )

@@ -133,6 +133,39 @@ def test_solve_rejects_bad_caps(runner, instance_a_path, tmp_path):
     assert result.exit_code == 2
 
 
+def test_solve_rejects_scalar_lxi_rows(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "lii": [1, 2], "lxi": [5, 6]}))
+    result = runner.invoke(main, ["solve", str(path)])
+    assert result.exit_code == 2
+    assert "lxi[0]" in result.output
+
+
+@pytest.mark.parametrize("caps, key", [
+    ({"1": -3}, "'1'"),
+    ({"4": 1}, "'4'"),
+    ({"0": 1}, "'0'"),
+    ({"2": 1.5}, "'2'"),
+])
+def test_caps_reject_bad_ids_and_limits(runner, instance_a_path, tmp_path,
+                                        caps, key):
+    path = tmp_path / "caps.json"
+    path.write_text(json.dumps(caps))
+    for command in (["solve"], ["simulate", "--rho", "4"]):
+        result = runner.invoke(main, command + ["--caps", str(path),
+                                                instance_a_path])
+        assert result.exit_code == 2
+        assert f"key {key}" in result.output
+
+
+@pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
+def test_non_finite_rho_is_rejected(runner, instance_a_path, rho):
+    for command in ("solve", "simulate"):
+        result = runner.invoke(main, [command, "--rho", rho, instance_a_path])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+
 # -- simulate -----------------------------------------------------------------
 
 def test_simulate_worked_example(runner, instance_a_path):

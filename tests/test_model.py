@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,17 @@ def test_generated_lii_mean_is_uniform():
     assert abs(total / count - 5.0) < 0.1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57])
+@pytest.mark.parametrize("seed", [0, 1, -7, 2**70])
+def test_generation_draws_what_randint_draws(n, seed):
+    rng = random.Random(seed)
+    lii = tuple(rng.randint(0, 10) for _ in range(n))
+    lxi = tuple(tuple(0 if c == r else rng.randint(0, 10) for c in range(n))
+                for r in range(n))
+    inst = generate_instance(n, seed)
+    assert (inst.lii, inst.lxi) == (lii, lxi)
+
+
 def test_generate_rejects_bad_n():
     with pytest.raises(ModelError):
         generate_instance(0, 1)
@@ -66,6 +78,36 @@ def test_instance_rejects_nonzero_diagonal():
 def test_instance_rejects_out_of_range_score():
     with pytest.raises(InstanceFormatError):
         Instance(2, (11, 1), ((0, 2), (3, 0)))
+
+
+@pytest.mark.parametrize("lxi, path", [
+    (((0, True), (3, 0)), "lxi[0][1]"),
+    (((0, 2), (float("nan"), 0)), "lxi[1][0]"),
+    (((0, 2), (3, 11)), "lxi[1][1]"),
+    (((0, -1), (3, 0)), "lxi[0][1]"),
+    (((0, "2"), (3, 0)), "lxi[0][1]"),
+])
+def test_instance_diagnostic_names_the_bad_score(lxi, path):
+    with pytest.raises(InstanceFormatError) as err:
+        Instance(2, (1, 1), lxi)
+    assert err.value.field_path == path
+
+
+def test_instance_accepts_real_scores():
+    inst = Instance(2, (1.5, 1), ((0, 2.25), (10.0, 0)))
+    assert inst.lxi_of(1, 2) == 2.25
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"n": 2, "lii": [1, 2], "lxi": [5, 6]}, "lxi[0]"),
+    ({"n": True, "lii": [1], "lxi": [[0]]}, "n"),
+    ({"n": 1, "lii": 5, "lxi": [[0]]}, "lii"),
+    ({"n": 1, "lii": [5], "lxi": {"0": [0]}}, "lxi"),
+])
+def test_from_json_dict_rejects_malformed_fields(data, path):
+    with pytest.raises(InstanceFormatError) as err:
+        Instance.from_json_dict(data)
+    assert err.value.field_path == path
 
 
 def test_instance_rejects_ragged_matrix():

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leadsel import (
+    Assignment,
     Instance,
     IncentivePolicy,
     ProtocolConfig,
@@ -17,6 +21,7 @@ from leadsel import (
     partition,
     run_episode,
     run_fallback_process,
+    utility,
 )
 from leadsel.protocol import (
     ACK,
@@ -33,6 +38,8 @@ from leadsel.protocol import (
     Message,
     NodeState,
     PhaseStart,
+    _best_candidate,
+    _rank_candidates,
     detect_scenario,
     on_event,
     simulate_protocol,
@@ -300,3 +307,150 @@ def test_episode_constraints_hold_when_non_marginal():
             continue
         rep = check_constraints(inst, outcome.assignment, 3)
         assert rep.all_ok
+
+
+# -- properties ---------------------------------------------------------------
+
+SCORES = st.one_of(st.integers(0, 10), st.sampled_from([0.5, 2.5, 9.5]))
+
+
+@st.composite
+def instances(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    lii = tuple(draw(st.lists(SCORES, min_size=n, max_size=n)))
+    lxi = tuple(
+        tuple(0 if c == r else draw(SCORES) for c in range(n))
+        for r in range(n))
+    return Instance(n, lii, lxi)
+
+
+def _closed_form(inst, rho):
+    """Phase-1 argmax of lii + lxi, then the phase-2 argmax over leaders
+    that have followers; refused (zero) scores never count, ties go to the
+    lowest id."""
+    def best(m, pool):
+        scored = [(-(inst.lii_of(n) + inst.lxi_of(m, n)), n) for n in pool
+                  if n != m and inst.lxi_of(m, n) > 0]
+        return min(scored)[1] if scored else None
+
+    cands = {n for n in inst.ue_ids if inst.lii_of(n) > rho}
+    follows = {}
+    for m in sorted(set(inst.ue_ids) - cands):
+        choice = best(m, cands)
+        if choice is not None:
+            follows[m] = choice
+    leaders = set(follows.values())
+    for m in sorted(cands - leaders):
+        choice = best(m, leaders)
+        if choice is not None:
+            follows[m] = choice
+    isolated = set(inst.ue_ids) - leaders - set(follows)
+    return cands, Assignment.build(leaders, follows, isolated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.integers(0, 10), st.sampled_from([BROADCAST, P2P]),
+       st.integers(0, 2**32))
+def test_episode_matches_closed_form_in_either_delivery_order(
+        inst, rho, transport, seed):
+    cands, expected = _closed_form(inst, rho)
+    outcomes = [run_episode(inst, ProtocolConfig(rho=rho, transport=transport,
+                                                 delivery_order=order), seed)
+                for order in ("random", "ascending")]
+    for outcome in outcomes:
+        assert outcome.assignment == expected
+        assert outcome.utility == utility(inst, expected)
+        if outcome.scenario != SCENARIO_3:
+            assert outcome.leader_set_phase1 == cands
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_best_candidate_heads_the_full_ranking(inst, data):
+    m = data.draw(st.sampled_from(inst.ue_ids))
+    pool = data.draw(st.sets(st.sampled_from(inst.ue_ids)))
+    view = LocalView(m, inst.lii_of(m), inst.lxi[m - 1], 1)
+    announcers = sorted((-inst.lii_of(n), n) for n in pool)
+    ranked = _rank_candidates(view, announcers)
+    head = ranked[0] if ranked else None
+    assert _best_candidate(view, announcers) == head
+    assert choose_leader(inst, m, pool) == head
+    # a row keyed by peer id leaves the device out; its own id in the
+    # table is skipped, not looked up
+    by_id = LocalView(m, inst.lii_of(m), inst.lxi_row(m))
+    assert m not in by_id.lxi_row
+    announcers = sorted(set(announcers) | {(-inst.lii_of(m), m)})
+    assert _rank_candidates(by_id, announcers) == ranked
+    assert _best_candidate(by_id, announcers) == head
+
+
+def test_ids_below_the_row_offset_are_refused():
+    inst = Instance(2, (5, 5), ((0, 3), (3, 0)))
+    view = LocalView(1, 5, inst.lxi[0], 1)
+    # id 0 would index the row at -1, i.e. the last peer
+    assert _rank_candidates(view, [(-9, 0), (-5, 2)]) == [2]
+    assert _best_candidate(view, [(-9, 0)]) is None
+
+
+@st.composite
+def episodes(draw):
+    inst = draw(instances())
+    caps = draw(st.none() | st.dictionaries(
+        st.sampled_from(inst.ue_ids), st.integers(0, 3)))
+    incentive = draw(st.none() | st.just(IncentivePolicy(4, 0.5)))
+    cfg = ProtocolConfig(rho=draw(st.integers(0, 10)),
+                         transport=draw(st.sampled_from([BROADCAST, P2P])),
+                         caps=caps,
+                         edge_server_policy=draw(st.booleans()),
+                         incentive_policy=incentive,
+                         delivery_order=draw(st.sampled_from(
+                             ["random", "ascending"])))
+    return inst, cfg, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(episodes())
+def test_message_counts_match_the_materialised_log(episode):
+    inst, cfg, seed = episode
+    outcome = run_episode(inst, cfg, seed)
+    messages = outcome.messages
+    assert outcome.total_messages == len(messages)
+    protocol = messages[:outcome.protocol_messages]
+    assert outcome.messages_per_phase() == {
+        p: sum(1 for m in protocol if m.phase == p) for p in (1, 2)}
+    by_kind, by_transport = {}, {}
+    for m in messages:
+        by_kind[m.phase, m.kind, m.transport] = \
+            by_kind.get((m.phase, m.kind, m.transport), 0) + 1
+        by_transport[m.phase, m.transport] = \
+            by_transport.get((m.phase, m.transport), 0) + 1
+    assert outcome.message_counts == by_kind
+    assert outcome.counts == by_transport
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        outcome.write_log(path)
+        with open(path) as fh:
+            assert fh.read() == "".join(
+                json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
+                for m in messages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(episodes())
+def test_requests_are_bounded_by_ranked_candidates(episode):
+    # each follower asks each ranked candidate at most once, and every
+    # request gets exactly one reply (ACK or NACK)
+    inst, cfg, seed = episode
+    outcome = run_episode(inst, cfg, seed)
+    protocol = outcome.messages[:outcome.protocol_messages]
+    requests = [(m.phase, m.sender, m.receiver) for m in protocol
+                if m.kind == FOLLOW_REQUEST]
+    replies = [(m.phase, m.receiver, m.sender) for m in protocol
+               if m.kind in (ACK, NACK)]
+    assert len(set(requests)) == len(requests)
+    assert sorted(requests) == sorted(replies)
+    ranked = outcome.leader_set_phase1
+    for _, m, n in requests:
+        assert n in ranked and n != m and inst.lxi_of(m, n) > 0
+    if cfg.caps is None:
+        assert not any(m.kind == NACK for m in protocol)

@@ -42,6 +42,13 @@ class LimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class OptimalSolution:
+    """An optimum with the search effort behind it.
+
+    ``configs_visited`` counts leader-first-follower configurations in the
+    uncapacitated search. With caps it counts the leader sets enumerated,
+    including those the bounded search cut without solving their matching.
+    """
+
     assignment: Assignment
     utility: object  # int for integer instances
     configs_visited: int
@@ -68,7 +75,10 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
 
     Ties are broken toward the smallest sorted leader tuple, then the
     smallest sorted follower map. With capacities the greedy completion is
-    replaced by an exact slot-matching per leader set.
+    replaced by an exact slot-matching per leader set, and leader sets are
+    solved in descending order of an upper bound on their utility until the
+    bound falls below the best utility found; ``configs_visited`` is then
+    the number of leader sets enumerated, cut ones included.
     """
     strict = _check_mode(mode)
     if inst.node_count > hard_limit:
@@ -171,74 +181,130 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool):
     # Exact per-leader-set completion as a max-weight slot matching: one
     # mandatory slot per leader (C2 lower bound) plus cap-1 optional slots,
     # and free isolation slots in relaxed mode.
+    #
+    # Leader sets are solved best bound first, and the search stops at the
+    # first set whose bound falls below the best utility found. Sets that
+    # tie the best are still solved: the pick is the largest utility, then
+    # the smallest sort key, whatever order the sets are visited in.
     import numpy as np
     from scipy.optimize import linear_sum_assignment
 
     eligible = [n for n in _leader_candidates(inst, rho)
                 if caps.get(n, inst.node_count) >= 1]
+    if not eligible:
+        return None, 0
     kmax = inst.node_count // 2
     lii = {n: inst.lii_of(n) for n in inst.node_ids}
     lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
     big = sum(lii.values()) + sum(sum(r.values()) for r in lxi.values()) + 1
 
+    # Every cost matrix is a slice of one dense matrix. Row m is UE m; the
+    # columns are each eligible leader's mandatory and optional slot, then
+    # one isolation column. A slice holds exactly the values of the matrix
+    # built cell by cell for its leader set, so the assignment solver
+    # breaks ties between equal matchings the same way.
+    ues = [m for m in inst.node_ids if m != EDGE_SERVER_ID]
+    iso = 2 * len(eligible)
+    dense = np.full((inst.n + 1, iso + 1), np.inf)
+    dense[:, iso] = 0.0
+    positive = np.zeros((inst.n + 1, len(eligible)))
+    col_leader = []
+    col_mandatory = []
+    slots = []  # per eligible leader: its slot columns, mandatory first
+    limits = []
+    for e, l in enumerate(eligible):
+        col_leader += [l, l]
+        col_mandatory += [True, False]
+        slots.append([2 * e] + [2 * e + 1] * (len(ues) - 1))
+        limits.append(caps.get(l, len(ues)))
+        for m in ues:
+            v = lxi[m].get(l, 0)
+            if v > 0:
+                dense[m, 2 * e] = -(v + big)
+                dense[m, 2 * e + 1] = -v
+                positive[m, e] = v
+    col_leader.append(None)
+    col_mandatory.append(False)
+    iso_cols = [iso] * len(ues)
+
+    # A set's bound is its lii sum plus the smaller of two bounds on what
+    # its followers add: the sum of each leader's cap largest scores, and
+    # the sum of each other UE's best score toward the set.
+    ids = np.array(eligible)
+    lii_e = np.array([lii[l] for l in eligible], dtype=float)
+    top_e = np.array([np.sort(positive[:, e])[::-1][:limit].sum()
+                      for e, limit in enumerate(limits)])
+    sets, bounds = [], []
+    for k in range(1, min(kmax, len(eligible)) + 1):
+        combos = list(combinations(range(len(eligible)), k))
+        idx = np.array(combos)
+        toward = positive[:, idx[:, 0]]
+        for j in range(1, k):
+            np.maximum(toward, positive[:, idx[:, j]], out=toward)
+        toward[ids[idx], np.arange(len(combos))[:, None]] = 0  # leaders
+        bounds.append(lii_e[idx].sum(axis=1) + np.minimum(
+            top_e[idx].sum(axis=1), toward.sum(axis=0)))
+        sets += combos
+    bound = np.concatenate(bounds)
+    order = np.argsort(-bound, kind="stable").tolist()
+    bound = bound.tolist()
+
     best_util = None
     best_assignment = None
     best_key = None
-    visited = 0
 
-    for k in range(1, kmax + 1):
-        for leaders in combinations(eligible, k):
-            visited += 1
-            lset = set(leaders)
-            rows = [m for m in inst.node_ids
-                    if m not in lset and m != EDGE_SERVER_ID]
-            if len(rows) < k:
-                continue
-            cols = []  # (leader, mandatory) or (None, False) for isolation
-            for l in leaders:
-                cols.append((l, True))
-                cols.extend((l, False) for _ in range(
-                    min(caps.get(l, len(rows)), len(rows)) - 1))
-            if not strict:
-                cols.extend((None, False) for _ in rows)
-            elif len(cols) < len(rows):
-                continue
-            cost = np.full((len(rows), len(cols)), np.inf)
-            for i, m in enumerate(rows):
-                row = lxi[m]
-                for j, (l, mandatory) in enumerate(cols):
-                    if l is None:
-                        cost[i, j] = 0.0
-                    elif row[l] > 0:
-                        cost[i, j] = -(row[l] + (big if mandatory else 0))
-            try:
-                ri, ci = linear_sum_assignment(cost)
-            except ValueError:
-                continue  # no feasible placement of all UEs
-            follows = {}
-            mandatory_filled = 0
-            for i, j in zip(ri, ci):
-                l, mandatory = cols[j]
-                if l is not None:
-                    follows[rows[i]] = l
-                    mandatory_filled += mandatory
-            if mandatory_filled < k:
-                continue  # some leader cannot receive any follower
-            if strict and len(follows) < len(rows):
-                continue
-            util = sum(lii[l] for l in leaders)
-            util += sum(lxi[m][l] for m, l in follows.items())
-            isolated = [m for m in inst.node_ids
-                        if m not in lset and m not in follows]
-            assignment = Assignment.build(leaders, follows, isolated)
-            key = assignment.sort_key()
-            if (best_util is None or util > best_util
-                    or (util == best_util and key < best_key)):
-                best_util, best_assignment, best_key = util, assignment, key
+    for s in order:
+        # Float scores sum in another order here than in the utility, so a
+        # bound may round below a utility it equals; the slack keeps such a
+        # set in. Integer bounds and utilities are cut exactly as without it.
+        if (best_util is not None
+                and bound[s] < best_util - 1e-9 * (1 + abs(best_util))):
+            break
+        leaders = tuple(eligible[e] for e in sets[s])
+        k = len(leaders)
+        lset = set(leaders)
+        rows = [m for m in ues if m not in lset]
+        r = len(rows)
+        if r < k:
+            continue
+        cols = []
+        for e in sets[s]:
+            cols += slots[e][:min(limits[e], r)]
+        if not strict:
+            cols += iso_cols[:r]
+        elif len(cols) < r:
+            continue
+        try:
+            ri, ci = linear_sum_assignment(dense[np.ix_(rows, cols)])
+        except ValueError:
+            continue  # no feasible placement of all UEs
+        follows = {}
+        mandatory_filled = 0
+        for i, j in zip(ri.tolist(), ci.tolist()):
+            c = cols[j]
+            l = col_leader[c]
+            if l is not None:
+                follows[rows[i]] = l
+                mandatory_filled += col_mandatory[c]
+        if mandatory_filled < k:
+            continue  # some leader cannot receive any follower
+        if strict and len(follows) < r:
+            continue
+        util = sum(lii[l] for l in leaders)
+        util += sum(lxi[m][l] for m, l in follows.items())
+        if best_util is not None and util < best_util:
+            continue
+        isolated = [m for m in inst.node_ids
+                    if m not in lset and m not in follows]
+        assignment = Assignment.build(leaders, follows, isolated)
+        key = assignment.sort_key()
+        if (best_util is None or util > best_util
+                or (util == best_util and key < best_key)):
+            best_util, best_assignment, best_key = util, assignment, key
 
     if best_assignment is None:
-        return None, visited
-    return (best_util, best_assignment), visited
+        return None, len(sets)
+    return (best_util, best_assignment), len(sets)
 
 
 def brute_force_oracle(inst: Instance, rho, caps: Optional[Mapping] = None,

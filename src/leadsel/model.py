@@ -150,11 +150,15 @@ class Instance:
             if not isinstance(row, list):
                 raise InstanceFormatError("row must be a list of scores",
                                           f"lxi[{r}]")
+        edge_server = data.get("edge_server", False)
+        if not isinstance(edge_server, bool):
+            raise InstanceFormatError(
+                f"must be true or false, got {edge_server!r}", "edge_server")
         return cls(
             n=n,
             lii=tuple(lii),
             lxi=tuple(tuple(row) for row in lxi),
-            has_edge_server=bool(data.get("edge_server", False)),
+            has_edge_server=edge_server,
         )
 
 

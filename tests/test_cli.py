@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import leadsel
 from leadsel import save_instance
 from leadsel.cli import main
 from leadsel.model import Instance
@@ -36,6 +40,19 @@ def test_help_lists_subcommands(runner):
     assert result.exit_code == 0
     for sub in ("gen", "solve", "simulate", "bench", "count"):
         assert sub in result.output
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # only the capacitated solver needs them, and imports them when called
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leadsel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, leadsel, leadsel.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 # -- gen ----------------------------------------------------------------------
@@ -139,6 +156,16 @@ def test_solve_rejects_scalar_lxi_rows(runner, tmp_path):
     result = runner.invoke(main, ["solve", str(path)])
     assert result.exit_code == 2
     assert "lxi[0]" in result.output
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None, [True]])
+def test_solve_rejects_non_boolean_edge_server(runner, tmp_path, flag):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "lii": [1, 2], "lxi": [[0, 1], [1, 0]],
+                                "edge_server": flag}))
+    result = runner.invoke(main, ["solve", str(path)])
+    assert result.exit_code == 2
+    assert "edge_server" in result.output
 
 
 @pytest.mark.parametrize("caps, key", [

@@ -118,6 +118,37 @@ def test_oracle_equivalence_capacitated(n, seed, cap):
     assert check_constraints(inst, sol.assignment, 0, caps=caps).capacity_ok
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_capacitated_oracle_equivalence_mixed_caps(data):
+    # per-node caps of 0..3 or none at all, an optional edge server, both
+    # modes; up to 7 nodes, the oracle's limit
+    edge = data.draw(st.booleans(), label="edge")
+    n = data.draw(st.integers(min_value=2, max_value=6 if edge else 7),
+                  label="n")
+    inst = generate_instance(n, data.draw(st.integers(), label="seed"),
+                             edge_server=(10, [1] * n) if edge else None)
+    caps = {}
+    for m in inst.node_ids:
+        limit = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label=f"cap{m}")
+        if limit is not None:
+            caps[m] = limit
+    rho = data.draw(st.sampled_from([0, 3, 5]), label="rho")
+    mode = data.draw(st.sampled_from(["relaxed", "strict"]), label="mode")
+    try:
+        expected = brute_force_oracle(inst, rho, caps=caps, mode=mode).utility
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_exhaustive(inst, rho, caps=caps, mode=mode)
+        return
+    sol = solve_exhaustive(inst, rho, caps=caps, mode=mode)
+    assert sol.utility == expected
+    rep = check_constraints(inst, sol.assignment, rho, caps=caps,
+                            strict=(mode == "strict"))
+    assert rep.all_ok
+    assert utility(inst, sol.assignment) == sol.utility
+
+
 def test_capacity_one_forces_pairing():
     inst = generate_instance(6, 3)
     caps = {m: 1 for m in inst.ue_ids}

@@ -12,8 +12,10 @@ from .model import (
     check_constraints,
     feasibility_scan,
     generate_instance,
+    leader_candidates,
     li_score,
     load_instance,
+    nobody_willing,
     save_instance,
     utility,
 )
@@ -35,7 +37,6 @@ from .protocol import (
     ProtocolConfig,
     ProtocolViolation,
     choose_leader,
-    partition,
     run_episode,
     run_fallback_process,
 )
@@ -46,7 +47,6 @@ from .harness import (
     derive_seed,
     rho_rule,
     run_benchmark,
-    sweep_rho,
 )
 
 __version__ = "0.1.0"

@@ -59,6 +59,8 @@ def _load_caps(ctx, path, inst: model.Instance):
         _fail(ctx, EXIT_IO, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail(ctx, EXIT_USAGE, f"bad caps file {path}: {exc}")
+    except RecursionError:
+        _fail(ctx, EXIT_USAGE, f"bad caps file {path}: JSON nested too deeply")
     if not isinstance(raw, dict):
         _fail(ctx, EXIT_USAGE, f"caps file {path} must map ue-id to limit")
     caps = {}

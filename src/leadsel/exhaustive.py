@@ -22,10 +22,11 @@ from .model import (
     EDGE_SERVER_ID,
     Assignment,
     Instance,
+    leader_candidates,
     utility as assignment_utility,
 )
 
-DEFAULT_HARD_LIMIT = 14
+HARD_LIMIT = 14
 ORACLE_LIMIT = 7
 
 MODE_STRICT = "strict"
@@ -69,8 +70,7 @@ def _check_mode(mode: str) -> bool:
 
 
 def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
-                     mode: str = MODE_RELAXED,
-                     hard_limit: int = DEFAULT_HARD_LIMIT) -> OptimalSolution:
+                     mode: str = MODE_RELAXED) -> OptimalSolution:
     """Optimal assignment by exhaustive leader-first-follower search.
 
     Ties are broken toward the smallest sorted leader tuple, then the
@@ -81,9 +81,9 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
     the number of leader sets enumerated, cut ones included.
     """
     strict = _check_mode(mode)
-    if inst.node_count > hard_limit:
+    if inst.node_count > HARD_LIMIT:
         raise LimitExceeded(
-            f"{inst.node_count} nodes exceeds the hard limit {hard_limit}")
+            f"{inst.node_count} nodes exceeds the hard limit {HARD_LIMIT}")
     started = time.perf_counter()
     if caps is None:
         best, visited = _search_uncapacitated(inst, rho, strict)
@@ -98,12 +98,8 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
     return OptimalSolution(assignment, util, visited, elapsed)
 
 
-def _leader_candidates(inst: Instance, rho):
-    return [n for n in inst.node_ids if inst.lii_of(n) > rho]
-
-
 def _search_uncapacitated(inst: Instance, rho, strict: bool):
-    eligible = _leader_candidates(inst, rho)
+    eligible = leader_candidates(inst, rho)
     kmax = inst.node_count // 2
     lii = {n: inst.lii_of(n) for n in inst.node_ids}
     lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
@@ -189,7 +185,7 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool):
     import numpy as np
     from scipy.optimize import linear_sum_assignment
 
-    eligible = [n for n in _leader_candidates(inst, rho)
+    eligible = [n for n in leader_candidates(inst, rho)
                 if caps.get(n, inst.node_count) >= 1]
     if not eligible:
         return None, 0

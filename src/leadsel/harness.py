@@ -53,16 +53,19 @@ def p2p_bound(n: int, l: int) -> int:
     return n * (n + 1) + l * (l - 1) - 2
 
 
+def message_bound(n: int, l: int, transport: str) -> int:
+    """Worst-case protocol messages for n UEs and l phase-1 candidates."""
+    if transport == BROADCAST:
+        return broadcast_bound(n, l)
+    if transport == P2P:
+        return p2p_bound(n, l)
+    raise ValueError(f"unknown transport {transport!r}")
+
+
 def check_message_bounds(outcome: EpisodeOutcome, n: int, l: int,
                          transport: str) -> bool:
     """Protocol traffic (fallback excluded) against the analytic worst case."""
-    if transport == BROADCAST:
-        bound = broadcast_bound(n, l)
-    elif transport == P2P:
-        bound = p2p_bound(n, l)
-    else:
-        raise ValueError(f"unknown transport {transport!r}")
-    return outcome.protocol_messages <= bound
+    return outcome.protocol_messages <= message_bound(n, l, transport)
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,6 @@ class LeaderSizeStats:
         if not bins:
             raise ValueError("need at least one sample")
         return cls(dict(bins))
-
-    def merge(self, other: "LeaderSizeStats") -> "LeaderSizeStats":
-        bins = dict(self.bins)
-        for s, c in other.bins.items():
-            bins[s] = bins.get(s, 0) + c
-        return LeaderSizeStats(bins)
 
     @property
     def count(self) -> int:
@@ -114,7 +111,6 @@ class ExperimentConfig:
     rho_values: Sequence = tuple(range(10))
     master_seed: int = 0
     modes: Sequence[str] = (BROADCAST,)
-    caps: Optional[Mapping] = None
     optimal_rho: object = 0
     timing_reps: int = 3
     jobs: int = 1
@@ -228,25 +224,23 @@ def _median_time(fn, reps: int) -> float:
 def _bench_instance(args):
     cfg, n, idx = args
     inst = generate_instance(n, derive_seed(cfg.master_seed, "inst", n, idx))
-    opt = solve_exhaustive(inst, cfg.optimal_rho, caps=cfg.caps)
-    t_opt = _median_time(
-        lambda: solve_exhaustive(inst, cfg.optimal_rho, caps=cfg.caps),
-        cfg.timing_reps)
+    opt = solve_exhaustive(inst, cfg.optimal_rho)
+    t_opt = _median_time(lambda: solve_exhaustive(inst, cfg.optimal_rho),
+                         cfg.timing_reps)
     episodes = {}
     for mode in cfg.modes:
         for rho in cfg.rho_values:
-            pcfg = ProtocolConfig(rho=rho, transport=mode, caps=cfg.caps)
+            pcfg = ProtocolConfig(rho=rho, transport=mode)
             seed = derive_seed(cfg.master_seed, "ep", n, idx, rho, mode)
             outcome = run_episode(inst, pcfg, seed)
             t_dist = _median_time(lambda: run_episode(inst, pcfg, seed),
                                   cfg.timing_reps)
-            bound = (broadcast_bound if mode == BROADCAST else p2p_bound)(
-                n, len(outcome.leader_set_phase1))
+            l = len(outcome.leader_set_phase1)
             episodes[(mode, rho)] = {
                 "utility": outcome.utility,
                 "leaders": len(outcome.assignment.leaders),
                 "msgs": outcome.protocol_messages,
-                "bound": bound,
+                "bound": message_bound(n, l, mode),
                 "t_dist": t_dist,
             }
     return {
@@ -300,30 +294,3 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
         report.histograms[("distributed", n)] = LeaderSizeStats.from_sizes(
             dist_sizes_pooled)
     return report
-
-
-def sweep_rho(instances: Sequence[Instance], rhos: Sequence,
-              transport: str = BROADCAST, master_seed: int = 0,
-              optimal_rho=0):
-    """Mean utility / leader-set-size curves over the threshold grid.
-
-    Returns a dict of data series suitable for plotting, including the
-    flat optimal reference computed once per instance at ``optimal_rho``.
-    """
-    opts = [solve_exhaustive(inst, optimal_rho) for inst in instances]
-    opt_util = statistics.fmean(o.utility for o in opts)
-    opt_l = statistics.fmean(len(o.assignment.leaders) for o in opts)
-    series = {"rho": list(rhos), "mean_util": [], "mean_L": [],
-              "opt_util_mean": opt_util, "opt_L_mean": opt_l}
-    for rho in rhos:
-        utils = []
-        sizes = []
-        for idx, inst in enumerate(instances):
-            cfg = ProtocolConfig(rho=rho, transport=transport)
-            seed = derive_seed(master_seed, "sweep", idx, rho)
-            outcome = run_episode(inst, cfg, seed)
-            utils.append(outcome.utility)
-            sizes.append(len(outcome.assignment.leaders))
-        series["mean_util"].append(statistics.fmean(utils))
-        series["mean_L"].append(statistics.fmean(sizes))
-    return series

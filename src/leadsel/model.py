@@ -168,6 +168,8 @@ def load_instance(path) -> Instance:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"not valid JSON (line {exc.lineno})") from exc
+        except RecursionError as exc:
+            raise InstanceFormatError("JSON nested too deeply") from exc
     return Instance.from_json_dict(data)
 
 
@@ -287,6 +289,21 @@ def utility(inst: Instance, a: Assignment):
     return total
 
 
+def leader_candidates(inst: Instance, rho,
+                      ids: Optional[Iterable[int]] = None) -> list:
+    """The ids that may lead at ``rho`` (C3: lii > rho), in the order given.
+
+    ``ids`` defaults to every node, the edge server included.
+    """
+    return [n for n in (inst.node_ids if ids is None else ids)
+            if inst.lii_of(n) > rho]
+
+
+def nobody_willing(inst: Instance) -> bool:
+    """Case 1 (Scenario 3 of the protocol): no regular UE has lii > 0."""
+    return not any(inst.lii_of(n) > 0 for n in inst.ue_ids)
+
+
 def li_score(inst: Instance, m: int, n: int):
     """Ranking score a prospective follower m gives to candidate leader n."""
     if m == n:
@@ -366,16 +383,14 @@ def feasibility_scan(inst: Instance, rho) -> FeasibilityReport:
     threshold whose every potential leader is either unwilling to lead or
     refused by the UE, so it can neither lead nor follow.
     """
-    ue_liis = [inst.lii_of(n) for n in inst.ue_ids]
-    case1 = all(v == 0 for v in ue_liis)
+    may_lead = set(leader_candidates(inst, rho))
     isolated = set()
-    for m in inst.node_ids:
-        if m == EDGE_SERVER_ID:
-            continue
-        if inst.lii_of(m) > rho:
+    for m in inst.ue_ids:
+        if m in may_lead:
             continue
         reachable = sum(inst.lxi_of(m, n) * inst.lii_of(n)
                         for n in inst.node_ids if n != m)
         if reachable == 0:
             isolated.add(m)
-    return FeasibilityReport(case1=case1, case2_isolated=frozenset(isolated))
+    return FeasibilityReport(case1=nobody_willing(inst),
+                             case2_isolated=frozenset(isolated))

@@ -38,6 +38,8 @@ from .model import (
     Assignment,
     Instance,
     attach_edge_server,
+    leader_candidates,
+    nobody_willing,
     utility as assignment_utility,
 )
 
@@ -122,8 +124,6 @@ class ProtocolConfig:
     edge_server_policy: bool = False
     incentive_policy: Optional[IncentivePolicy] = None
     delivery_order: str = "random"  # or "ascending"
-    edge_lii: object = DEFAULT_EDGE_LII
-    edge_lxi_default: object = DEFAULT_EDGE_LXI
 
     def __post_init__(self):
         if self.transport not in (BROADCAST, P2P):
@@ -157,19 +157,12 @@ class NodeState:
     # announcers as sorted (-lii, id) pairs: highest lii first, then lowest id
     known_liis: list = field(default_factory=list)        # phase 1
     phase2_liis: list = field(default_factory=list)       # phase 2
-    # ids still to try, best first; None while only the best was requested
+    # ids still to try, best last; None while only the best was requested
     leader_candidates: Optional[list] = field(default_factory=list)
     followers: set = field(default_factory=set)
     capacity_remaining: Optional[int] = None
     leader: Optional[int] = None
     phase: int = 1
-
-
-def partition(inst: Instance, rho):
-    """Candidate leaders vs followers among regular UEs; node 0 stays out."""
-    leaders = {n for n in inst.ue_ids if inst.lii_of(n) > rho}
-    followers = set(inst.ue_ids) - leaders
-    return leaders, followers
 
 
 def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
@@ -234,7 +227,7 @@ def on_event(state: NodeState, event, cfg: ProtocolConfig, view: LocalView):
 def _request(state: NodeState, phase: int) -> list:
     if not state.leader_candidates:
         return []
-    target = state.leader_candidates.pop(0)
+    target = state.leader_candidates.pop()
     return [Message(FOLLOW_REQUEST, state.id, target, phase, 0, P2P)]
 
 
@@ -315,7 +308,7 @@ def _on_message(state, msg: Message, cfg, view):
         if state.leader_candidates is None:
             liis = state.known_liis if state.phase == 1 else state.phase2_liis
             # the best candidate, just refused, heads the full ranking
-            state.leader_candidates = _rank_candidates(view, liis)[1:]
+            state.leader_candidates = _rank_candidates(view, liis)[:0:-1]
         return _request(state, state.phase)
     raise ProtocolViolation(f"unknown message kind {msg.kind}")
 
@@ -492,30 +485,13 @@ class EpisodeOutcome:
         return table
 
     @property
-    def counts(self) -> dict:
-        by = {}
-        for (phase, _, transport), k in self.message_counts.items():
-            by[(phase, transport)] = by.get((phase, transport), 0) + k
-        return by
-
-    @property
-    def fallback_message_count(self) -> int:
-        return len(self.fallback_messages)
-
-    @property
     def total_messages(self) -> int:
-        return self.protocol_messages + self.fallback_message_count
+        return self.protocol_messages + len(self.fallback_messages)
 
     @property
     def protocol_messages(self) -> int:
         """Phase 1 + 2 traffic, excluding the edge-server fallback exchange."""
         return len(self.log)
-
-    def messages_per_phase(self) -> dict:
-        per = {1: 0, 2: 0}
-        for (phase, _, _), k in self.log.tally.items():
-            per[phase] += k
-        return per
 
     @cached_property
     def messages(self) -> tuple:
@@ -549,10 +525,9 @@ class FallbackResult:
     extra_follows: dict
     edge_server_used: bool
     messages: list
-    incentive_accepted: tuple = ()
 
 
-def run_fallback_process(inst: Instance, rho, cfg: ProtocolConfig,
+def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
                          unresolved, rng: random.Random) -> FallbackResult:
     """Edge-server / incentive escape hatch for the marginal regimes.
 
@@ -565,10 +540,8 @@ def run_fallback_process(inst: Instance, rho, cfg: ProtocolConfig,
     effective = inst
     sim = None
     messages: list = []
-    accepted: tuple = ()
 
-    nobody_willing = all(inst.lii_of(n) == 0 for n in inst.ue_ids)
-    if nobody_willing and cfg.incentive_policy is not None:
+    if nobody_willing(inst) and cfg.incentive_policy is not None:
         pol = cfg.incentive_policy
         accepted = tuple(n for n in sorted(inst.ue_ids)
                          if rng.random() < pol.accept_prob)
@@ -579,7 +552,7 @@ def run_fallback_process(inst: Instance, rho, cfg: ProtocolConfig,
                 lii[i] = min(SCORE_MAX, lii[i] + pol.delta)
             effective = Instance(inst.n, tuple(lii), inst.lxi,
                                  inst.has_edge_server)
-        if any(effective.lii_of(n) > rho for n in effective.ue_ids):
+        if leader_candidates(effective, cfg.rho, effective.ue_ids):
             sim = simulate_protocol(effective, cfg, rng)
             unresolved = sim.unresolved
 
@@ -588,8 +561,7 @@ def run_fallback_process(inst: Instance, rho, cfg: ProtocolConfig,
     if unresolved and cfg.edge_server_policy:
         if not effective.has_edge_server:
             effective = attach_edge_server(
-                effective, cfg.edge_lii,
-                [cfg.edge_lxi_default] * effective.n)
+                effective, DEFAULT_EDGE_LII, [DEFAULT_EDGE_LXI] * effective.n)
         offer = Message(ANNOUNCE, EDGE_SERVER_ID, None, 2, 0, cfg.transport,
                         lii=effective.lii_of(EDGE_SERVER_ID))
         messages.append(offer)
@@ -601,14 +573,14 @@ def run_fallback_process(inst: Instance, rho, cfg: ProtocolConfig,
                 messages.append(Message(ACK, EDGE_SERVER_ID, m, 2, 0, P2P))
         edge_used = bool(extra_follows)
 
-    return FallbackResult(effective, sim, extra_follows, edge_used, messages,
-                          accepted)
+    return FallbackResult(effective, sim, extra_follows, edge_used, messages)
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
-    if all(inst.lii_of(n) == 0 for n in inst.ue_ids):
+    if nobody_willing(inst):
         return SCENARIO_3
-    leaders, followers = partition(inst, rho)
+    leaders = leader_candidates(inst, rho, inst.ue_ids)
+    followers = set(inst.ue_ids).difference(leaders)
     if not followers:
         return SCENARIO_1
     if leaders and all(inst.lxi_of(m, n) == 0
@@ -635,7 +607,7 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     fallback = ()
 
     if sim.unresolved:
-        fb = run_fallback_process(inst, cfg.rho, cfg, sim.unresolved, rng)
+        fb = run_fallback_process(inst, cfg, sim.unresolved, rng)
         effective = fb.instance
         if fb.sim is not None:  # incentive succeeded; protocol was rerun
             sim = fb.sim

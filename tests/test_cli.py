@@ -168,6 +168,19 @@ def test_solve_rejects_non_boolean_edge_server(runner, tmp_path, flag):
     assert "edge_server" in result.output
 
 
+@pytest.mark.parametrize("kind", ["instance", "caps"])
+def test_solve_rejects_deeply_nested_json(runner, instance_a_path, tmp_path,
+                                          kind):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    args = [str(deep)] if kind == "instance" else [
+        "--caps", str(deep), instance_a_path]
+    result = runner.invoke(main, ["solve"] + args)
+    assert result.exit_code == 2
+    assert f"bad {kind} file" in result.output
+    assert "nested too deeply" in result.output
+
+
 @pytest.mark.parametrize("caps, key", [
     ({"1": -3}, "'1'"),
     ({"4": 1}, "'4'"),

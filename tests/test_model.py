@@ -14,8 +14,10 @@ from leadsel import (
     check_constraints,
     feasibility_scan,
     generate_instance,
+    leader_candidates,
     li_score,
     load_instance,
+    nobody_willing,
     save_instance,
     utility,
 )
@@ -108,6 +110,29 @@ def test_from_json_dict_rejects_malformed_fields(data, path):
     with pytest.raises(InstanceFormatError) as err:
         Instance.from_json_dict(data)
     assert err.value.field_path == path
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+_SCORES = st.lists(st.integers(0, 10) | _JSON, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | st.fixed_dictionaries(
+    {"n": st.integers(-1, 3) | _JSON,
+     "lii": _SCORES | _JSON,
+     "lxi": st.lists(_SCORES | _JSON, max_size=4) | _JSON},
+    optional={"edge_server": st.booleans() | _JSON}))
+def test_from_json_dict_raises_only_format_errors(data):
+    # any JSON value either loads or is refused with a field diagnostic
+    try:
+        inst = Instance.from_json_dict(data)
+    except InstanceFormatError:
+        return
+    assert Instance.from_json_dict(inst.to_json_dict()) == inst
 
 
 def test_instance_rejects_ragged_matrix():
@@ -266,8 +291,18 @@ def test_edge_server_exempt_from_c1(instance_a):
 
 # -- feasibility --------------------------------------------------------------
 
+def test_leader_candidates_worked_example(instance_a):
+    assert leader_candidates(instance_a, 4) == [1, 3]  # UE 2 follows
+
+
+def test_leader_candidates_extreme_thresholds(instance_a):
+    assert leader_candidates(instance_a, 10) == []
+    assert leader_candidates(instance_a, 0) == [1, 2, 3]  # no followers
+
+
 def test_case1_on_all_zero_lii():
     inst = Instance(2, (0, 0), ((0, 3), (4, 0)))
+    assert nobody_willing(inst)
     assert feasibility_scan(inst, 0).case1
 
 

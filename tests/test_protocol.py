@@ -18,9 +18,11 @@ from leadsel import (
     attach_edge_server,
     choose_leader,
     generate_instance,
-    partition,
+    leader_candidates,
+    nobody_willing,
     run_episode,
     run_fallback_process,
+    solve_exhaustive,
     utility,
 )
 from leadsel.protocol import (
@@ -63,19 +65,7 @@ def _scenario3_instance(n=3):
     return Instance(n, tuple(0 for _ in range(n)), lxi)
 
 
-# -- partition and ranking ----------------------------------------------------
-
-def test_partition_worked_example(instance_a):
-    leaders, followers = partition(instance_a, 4)
-    assert leaders == {1, 3}
-    assert followers == {2}
-
-
-def test_partition_extreme_thresholds(instance_a):
-    assert partition(instance_a, 10)[0] == set()
-    leaders, followers = partition(instance_a, 0)
-    assert followers == set()
-
+# -- ranking ------------------------------------------------------------------
 
 def test_choose_leader_prefers_combined_score(instance_a):
     assert choose_leader(instance_a, 2, {1, 3}) == 1  # LI 13 vs 7
@@ -179,7 +169,10 @@ def test_episode_is_deterministic(instance_a):
 
 def test_episode_messages_per_phase(instance_a):
     outcome = run_episode(instance_a, ProtocolConfig(rho=4), seed=1)
-    per = outcome.messages_per_phase()
+    per = {1: 0, 2: 0}
+    for (phase, _, _), k in outcome.message_counts.items():
+        per[phase] += k
+    assert not outcome.fallback_messages
     assert per[1] + per[2] == outcome.protocol_messages
     assert per[2] > 0  # UE 3 converts in phase 2
 
@@ -273,6 +266,25 @@ def test_scenario3_incentive_rerun():
     assert outcome.utility == 0
 
 
+def test_edge_server_leads_only_in_the_exact_solver():
+    # node 0 clears every threshold, but the protocol's candidate set and
+    # the Case 1 / Scenario 3 test count regular UEs only
+    inst = attach_edge_server(_scenario3_instance(), 10, [5, 5, 5])
+    assert leader_candidates(inst, 0) == [0]
+    assert leader_candidates(inst, 0, inst.ue_ids) == []
+    assert nobody_willing(inst)
+    sol = solve_exhaustive(inst, 0)
+    assert sol.assignment.leaders == frozenset({0})
+    assert sol.utility == 10 + 15
+    assert detect_scenario(inst, 0) == SCENARIO_3
+    cfg = ProtocolConfig(rho=0, edge_server_policy=True,
+                         incentive_policy=IncentivePolicy(5, 0.0))
+    fb = run_fallback_process(inst, cfg, {1, 2, 3}, random.Random(0))
+    assert fb.sim is None  # no regular UE may lead, so no rerun
+    assert fb.instance is inst
+    assert fb.extra_follows == {1: 0, 2: 0, 3: 0}
+
+
 def test_edge_server_offer_respects_refusal():
     inst = attach_edge_server(_scenario2_instance(), 10, [1, 0, 1])
     cfg = ProtocolConfig(rho=0, edge_server_policy=True)
@@ -284,12 +296,12 @@ def test_edge_server_offer_respects_refusal():
 def test_fallback_message_accounting():
     inst = _scenario2_instance()
     cfg = ProtocolConfig(rho=0, edge_server_policy=True)
-    fb = run_fallback_process(inst, 0, cfg, {1, 2, 3}, random.Random(0))
+    fb = run_fallback_process(inst, cfg, {1, 2, 3}, random.Random(0))
     # one offer plus request/ack per accepting UE
     assert len(fb.messages) == 1 + 2 * len(fb.extra_follows)
     outcome = run_episode(inst, cfg, seed=0)
     assert outcome.total_messages == \
-        outcome.protocol_messages + outcome.fallback_message_count
+        outcome.protocol_messages + len(outcome.fallback_messages)
 
 
 def test_centralized_reference_count():
@@ -416,16 +428,17 @@ def test_message_counts_match_the_materialised_log(episode):
     messages = outcome.messages
     assert outcome.total_messages == len(messages)
     protocol = messages[:outcome.protocol_messages]
-    assert outcome.messages_per_phase() == {
-        p: sum(1 for m in protocol if m.phase == p) for p in (1, 2)}
-    by_kind, by_transport = {}, {}
+    by_kind = {}
     for m in messages:
         by_kind[m.phase, m.kind, m.transport] = \
             by_kind.get((m.phase, m.kind, m.transport), 0) + 1
-        by_transport[m.phase, m.transport] = \
-            by_transport.get((m.phase, m.transport), 0) + 1
     assert outcome.message_counts == by_kind
-    assert outcome.counts == by_transport
+    # the fallback exchange, sent last, adds to phase 2 only
+    per = {1: 0, 2: 0}
+    for (phase, _, _), k in outcome.message_counts.items():
+        per[phase] += k
+    assert per[1] == sum(1 for m in protocol if m.phase == 1)
+    assert per[2] == outcome.total_messages - per[1]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.jsonl")
         outcome.write_log(path)

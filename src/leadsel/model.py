@@ -380,17 +380,13 @@ def feasibility_scan(inst: Instance, rho) -> FeasibilityReport:
     """Detect the two infeasible regimes of the joint problem.
 
     Case 1: nobody is willing to lead at all. Case 2: a UE below the
-    threshold whose every potential leader is either unwilling to lead or
-    refused by the UE, so it can neither lead nor follow.
+    threshold that scores every node that may lead at ``rho`` zero, so it
+    can neither lead nor follow.
     """
-    may_lead = set(leader_candidates(inst, rho))
-    isolated = set()
-    for m in inst.ue_ids:
-        if m in may_lead:
-            continue
-        reachable = sum(inst.lxi_of(m, n) * inst.lii_of(n)
-                        for n in inst.node_ids if n != m)
-        if reachable == 0:
-            isolated.add(m)
+    may_lead = leader_candidates(inst, rho)
+    lead = set(may_lead)
+    isolated = frozenset(
+        m for m in inst.ue_ids if m not in lead
+        and not any(inst.lxi_of(m, n) > 0 for n in may_lead))
     return FeasibilityReport(case1=nobody_willing(inst),
-                             case2_isolated=frozenset(isolated))
+                             case2_isolated=isolated)

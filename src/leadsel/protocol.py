@@ -1,4 +1,4 @@
-"""Two-phase distributed leader selection as message-driven state machines.
+"""Two-phase distributed leader selection, simulated round by round.
 
 Phase 1: every device whose internal willingness clears the threshold
 announces itself; the rest rank the announcers and request the best one.
@@ -6,26 +6,29 @@ Phase 2: announcers that attracted nobody convert to followers and pick
 among the leaders that did. A capacity-limited variant answers requests
 with ACK/NACK and followers retry down their candidate list.
 
-The timer separating the phases is modelled as a synchronous round
-barrier: all requests and replies of a phase are delivered before the
-timer event fires. Delivery order within a round is a seeded permutation
-(it only matters under capacities, where leaders serve first come first
-serve).
+A device has four steps, each seeing only its own ``LocalView``: take a
+phase-1 role, request the best announcer, handle one request/ACK/NACK,
+and close phase 1. The simulator calls them directly in synchronous
+rounds; the timer separating the phases is a round barrier, so every
+request and reply of a phase is delivered before phase 1 closes. Delivery
+order within a round is a seeded permutation (it only matters under
+capacities, where leaders serve first come first serve).
 
 The barrier also means that every receiver of an announcement round hears
 the same announcers, so the simulator keeps one table of ``(-lii, sender)``
 pairs per round, sorted once, and all its receivers share it. Devices rank
 candidates from their stored score row; a follower requests its best
-candidate and ranks the rest only when that one answers NACK. The message log counts messages
-per (phase, kind, transport) as they are sent and keeps a p2p announcement
-as one entry for all its recipients; the per-recipient messages are built
-only when ``EpisodeOutcome.messages`` or ``write_log`` reads the log.
+candidate and ranks the rest only when that one answers NACK. The message
+log counts messages per (phase, kind, transport) as they are sent and keeps
+a p2p announcement as one entry for all its recipients; the per-recipient
+messages are built only when ``EpisodeOutcome.messages`` or ``write_log``
+reads the log.
 """
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -89,22 +92,6 @@ class Message:
 
 
 @dataclass(frozen=True)
-class PhaseStart:
-    phase: int
-
-
-@dataclass(frozen=True)
-class TimerStarted:
-    """Round barrier after the announcements of a phase have settled."""
-    phase: int
-
-
-@dataclass(frozen=True)
-class TimerExpired:
-    phase: int
-
-
-@dataclass(frozen=True)
 class IncentivePolicy:
     delta: object
     accept_prob: float
@@ -154,15 +141,13 @@ def _view(inst: Instance, n: int) -> LocalView:
 class NodeState:
     id: int
     role: str = FOLLOWER
-    # announcers as sorted (-lii, id) pairs: highest lii first, then lowest id
-    known_liis: list = field(default_factory=list)        # phase 1
-    phase2_liis: list = field(default_factory=list)       # phase 2
-    # ids still to try, best last; None while only the best was requested
-    leader_candidates: Optional[list] = field(default_factory=list)
+    # the sorted (-lii, id) announcer table of the node's first request
+    announcers: Optional[list] = None
+    # ids still to try, best last; None until the first NACK ranks them
+    leader_candidates: Optional[list] = None
     followers: set = field(default_factory=set)
     capacity_remaining: Optional[int] = None
     leader: Optional[int] = None
-    phase: int = 1
 
 
 def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
@@ -206,111 +191,65 @@ def _best_candidate(view: LocalView, announcers: Sequence) -> Optional[int]:
     return best
 
 
-def on_event(state: NodeState, event, cfg: ProtocolConfig, view: LocalView):
-    """Advance one node's state machine; returns messages to emit.
-
-    Request/announce messages are emitted with ``receiver=None``; the
-    simulator materializes them per transport.
-    """
-    cls = event.__class__
-    if cls is Message:
-        return _on_message(state, event, cfg, view)
-    if cls is PhaseStart:
-        return _on_phase_start(state, event, cfg, view)
-    if cls is TimerStarted:
-        return _on_timer_started(state, event, cfg, view)
-    if cls is TimerExpired:
-        return _on_timer_expired(state, event, cfg, view)
-    raise ProtocolViolation(f"unknown event {event!r}")
+def take_role(state: NodeState, view: LocalView, cfg: ProtocolConfig) -> None:
+    """Phase 1 opens: the device becomes a candidate leader iff its lii
+    clears the threshold."""
+    if view.lii > cfg.rho:
+        state.role = CANDIDATE_LEADER
+        if cfg.caps is not None:
+            state.capacity_remaining = cfg.caps.get(view.id)
 
 
-def _request(state: NodeState, phase: int) -> list:
-    if not state.leader_candidates:
-        return []
-    target = state.leader_candidates.pop()
-    return [Message(FOLLOW_REQUEST, state.id, target, phase, 0, P2P)]
-
-
-def _on_phase_start(state, event, cfg, view):
-    if event.phase == 1:
-        state.phase = 1
-        if view.lii > cfg.rho:
-            state.role = CANDIDATE_LEADER
-            if cfg.caps is not None:
-                state.capacity_remaining = cfg.caps.get(view.id)
-            return [Message(ANNOUNCE, state.id, None, 1, 0, cfg.transport,
-                            lii=view.lii)]
-        state.role = FOLLOWER
-        return []
-    if event.phase == 2:
-        state.phase = 2
-        if state.role == LEADER_WITH_FOLLOWERS:
-            return [Message(PHASE2_ANNOUNCE, state.id, None, 2, 0, cfg.transport,
-                            lii=view.lii)]
-        return []
-    raise ProtocolViolation(f"bad phase {event.phase}")
-
-
-def _request_best(state: NodeState, view: LocalView, announcers: list,
-                  phase: int) -> list:
+def request_best(state: NodeState, view: LocalView, announcers: list,
+                 phase: int, rnd: int) -> Optional[Message]:
+    """The request to the best of the sorted ``announcers``, sent in round
+    ``rnd``, or None when the device scores every one of them zero."""
     target = _best_candidate(view, announcers)
     if target is None:
-        state.leader_candidates = []
-        return []
-    state.leader_candidates = None  # the rest are ranked on the first NACK
-    return [Message(FOLLOW_REQUEST, state.id, target, phase, 0, P2P)]
+        return None
+    state.announcers = announcers  # the rest are ranked on the first NACK
+    return Message(FOLLOW_REQUEST, state.id, target, phase, rnd, P2P)
 
 
-def _on_timer_started(state, event, cfg, view):
-    if event.phase == 1:
-        if state.role == FOLLOWER:
-            return _request_best(state, view, state.known_liis, 1)
-        return []
-    if event.phase == 2:
-        if state.role == ISOLATED_LEADER:
-            return _request_best(state, view, state.phase2_liis, 2)
-        return []
-    raise ProtocolViolation(f"bad phase {event.phase}")
+def on_message(state: NodeState, msg: Message, view: LocalView,
+               rnd: int) -> Optional[Message]:
+    """Handle one request, ACK or NACK delivered in round ``rnd``.
 
-
-def _on_timer_expired(state, event, cfg, view):
-    if event.phase == 1 and state.role == CANDIDATE_LEADER:
-        state.role = LEADER_WITH_FOLLOWERS if state.followers else ISOLATED_LEADER
-    return []
-
-
-def _on_message(state, msg: Message, cfg, view):
-    if msg.kind == ANNOUNCE:
-        insort(state.known_liis, (-msg.lii, msg.sender))
-        return []
-    if msg.kind == PHASE2_ANNOUNCE:
-        insort(state.phase2_liis, (-msg.lii, msg.sender))
-        return []
-    if msg.kind == FOLLOW_REQUEST:
+    Returns the reply to a request or the retry after a NACK, sent in the
+    same round and phase, or None.
+    """
+    kind = msg.kind
+    if kind == FOLLOW_REQUEST:
         if state.role not in (CANDIDATE_LEADER, LEADER_WITH_FOLLOWERS):
             raise ProtocolViolation(
                 f"node {state.id} ({state.role}) cannot take followers")
-        if state.capacity_remaining is not None and state.capacity_remaining <= 0:
-            return [Message(NACK, state.id, msg.sender, state.phase, 0, P2P)]
         if state.capacity_remaining is not None:
+            if state.capacity_remaining <= 0:
+                return Message(NACK, state.id, msg.sender, msg.phase, rnd, P2P)
             state.capacity_remaining -= 1
         state.followers.add(msg.sender)
-        return [Message(ACK, state.id, msg.sender, state.phase, 0, P2P)]
-    if msg.kind == ACK:
-        if state.role not in (FOLLOWER, ISOLATED_LEADER):
-            raise ProtocolViolation(f"unexpected ACK at {state.id}")
+        return Message(ACK, state.id, msg.sender, msg.phase, rnd, P2P)
+    if kind not in (ACK, NACK):
+        raise ProtocolViolation(f"unknown message kind {kind}")
+    if state.role not in (FOLLOWER, ISOLATED_LEADER) or state.announcers is None:
+        raise ProtocolViolation(f"unexpected {kind} at {state.id}")
+    if kind == ACK:
         state.role = ASSIGNED_FOLLOWER
         state.leader = msg.sender
-        return []
-    if msg.kind == NACK:
-        if state.role not in (FOLLOWER, ISOLATED_LEADER):
-            raise ProtocolViolation(f"unexpected NACK at {state.id}")
-        if state.leader_candidates is None:
-            liis = state.known_liis if state.phase == 1 else state.phase2_liis
-            # the best candidate, just refused, heads the full ranking
-            state.leader_candidates = _rank_candidates(view, liis)[:0:-1]
-        return _request(state, state.phase)
-    raise ProtocolViolation(f"unknown message kind {msg.kind}")
+        return None
+    if state.leader_candidates is None:
+        # the best candidate, just refused, heads the full ranking
+        state.leader_candidates = _rank_candidates(view, state.announcers)[:0:-1]
+    if not state.leader_candidates:
+        return None
+    return Message(FOLLOW_REQUEST, state.id, state.leader_candidates.pop(),
+                   msg.phase, rnd, P2P)
+
+
+def close_phase1(state: NodeState) -> None:
+    """Phase 1 closes: a candidate leader keeps leading only with followers."""
+    if state.role == CANDIDATE_LEADER:
+        state.role = LEADER_WITH_FOLLOWERS if state.followers else ISOLATED_LEADER
 
 
 @dataclass
@@ -380,78 +319,70 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     log = MessageLog()
     rnd = 0
 
-    def announce(event, group: tuple) -> list:
-        # Each announcer reaches every other member of group. The round's
-        # sorted (-lii, sender) table is returned for the whole group to share.
+    def announce(kind: str, phase: int, group: tuple, role: str) -> list:
+        # Each member of group in role reaches every other member. The
+        # round's sorted (-lii, sender) table is returned for all to share.
         table = []
-        for n in ids:
-            for out in on_event(states[n], event, cfg, views[n]):
-                entry = Message(out.kind, n, None, out.phase, rnd,
-                                cfg.transport, out.lii)
+        for n in group:
+            if states[n].role == role:
+                lii = views[n].lii
+                msg = Message(kind, n, None, phase, rnd, cfg.transport, lii)
                 if cfg.transport == BROADCAST:
-                    log.add(entry)
+                    log.add(msg)
                 else:
-                    log.add_fanout(entry, group)
-                table.append((-out.lii, n))
+                    log.add_fanout(msg, group)
+                table.append((-lii, n))
         table.sort()
         return table
 
-    def send(out: Message, rnd: int, queue: list) -> None:
-        # the logged copy of a point-to-point message sent in round rnd
-        entry = Message(out.kind, out.sender, out.receiver, out.phase, rnd,
-                        P2P, out.lii)
-        log.add(entry)
-        queue.append((entry.receiver, entry))
+    def request(role: str, announcers: list, phase: int, at: int) -> list:
+        # every node in role requests its best announcer in round at
+        sent = []
+        for n in ids:
+            if states[n].role == role:
+                msg = request_best(states[n], views[n], announcers, phase, at)
+                if msg is not None:
+                    log.add(msg)
+                    sent.append(msg)
+        return sent
 
-    def deliver_requests(pending):
-        # pending: list of (receiver, message); leaders serve in delivery order
+    def handle(delivered: list) -> list:
+        # the messages sent in answer to those delivered in round rnd
+        sent = []
+        for msg in delivered:
+            r = msg.receiver
+            out = on_message(states[r], msg, views[r], rnd)
+            if out is not None:
+                log.add(out)
+                sent.append(out)
+        return sent
+
+    def deliver(pending: list) -> None:
+        # leaders serve in delivery order; NACKed requesters retry next round
         nonlocal rnd
         while pending:
             rnd += 1
             if cfg.delivery_order == "random":
                 rng.shuffle(pending)
             else:
-                pending.sort(key=lambda rm: rm[1].sender)
-            responses = []
-            for receiver, msg in pending:
-                for out in on_event(states[receiver], msg, cfg, views[receiver]):
-                    send(out, rnd, responses)
-            pending = []
-            for receiver, msg in responses:
-                for out in on_event(states[receiver], msg, cfg, views[receiver]):
-                    send(out, rnd, pending)
+                pending.sort(key=lambda m: m.sender)
+            pending = handle(handle(pending))
 
-    # Phase 1: announcements
-    known = announce(PhaseStart(1), tuple(ids))
+    # Phase 1: announcements in round 0, then requests and NACK retries
     for n in ids:
-        states[n].known_liis = known
+        take_role(states[n], views[n], cfg)
     leader_set_phase1 = {n for n in ids if states[n].role == CANDIDATE_LEADER}
+    table = announce(ANNOUNCE, 1, tuple(ids), CANDIDATE_LEADER)
+    deliver(request(FOLLOWER, table, 1, rnd + 1))
+    for n in leader_set_phase1:
+        close_phase1(states[n])
 
-    # Phase 1: follower requests (plus NACK retries under capacities)
-    pending = []
-    timer = TimerStarted(1)
-    for n in ids:
-        for out in on_event(states[n], timer, cfg, views[n]):
-            send(out, rnd + 1, pending)
-    deliver_requests(pending)
-
-    timer = TimerExpired(1)
-    for n in ids:
-        on_event(states[n], timer, cfg, views[n])
-
-    # Phase 2: re-announcements go to the phase-1 candidate set
+    # Phase 2: re-announcements go to the phase-1 candidate set, and the
+    # requests share their round
     rnd += 1
-    group = tuple(sorted(leader_set_phase1))
-    heard = announce(PhaseStart(2), group)
-    for n in group:
-        states[n].phase2_liis = heard
-
-    pending = []
-    timer = TimerStarted(2)
-    for n in ids:
-        for out in on_event(states[n], timer, cfg, views[n]):
-            send(out, rnd, pending)
-    deliver_requests(pending)
+    table = announce(PHASE2_ANNOUNCE, 2, tuple(sorted(leader_set_phase1)),
+                     LEADER_WITH_FOLLOWERS)
+    deliver(request(ISOLATED_LEADER, table, 2, rnd))
 
     leaders = {n for n in ids
                if states[n].role == LEADER_WITH_FOLLOWERS and states[n].followers}
@@ -523,7 +454,6 @@ class FallbackResult:
     instance: Instance          # possibly boosted / extended with node 0
     sim: Optional[SimulationResult]  # rerun after a successful incentive
     extra_follows: dict
-    edge_server_used: bool
     messages: list
 
 
@@ -557,7 +487,6 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
             unresolved = sim.unresolved
 
     extra_follows = {}
-    edge_used = False
     if unresolved and cfg.edge_server_policy:
         if not effective.has_edge_server:
             effective = attach_edge_server(
@@ -571,9 +500,8 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
                 messages.append(Message(FOLLOW_REQUEST, m, EDGE_SERVER_ID,
                                         2, 0, P2P))
                 messages.append(Message(ACK, EDGE_SERVER_ID, m, 2, 0, P2P))
-        edge_used = bool(extra_follows)
 
-    return FallbackResult(effective, sim, extra_follows, edge_used, messages)
+    return FallbackResult(effective, sim, extra_follows, messages)
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
@@ -603,7 +531,6 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     leaders = set(sim.leaders)
     follows = dict(sim.follows)
     effective = inst
-    edge_used = False
     fallback = ()
 
     if sim.unresolved:
@@ -614,9 +541,8 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
             leaders = set(fb.sim.leaders)
             follows = dict(fb.sim.follows)
         follows.update(fb.extra_follows)
-        if fb.edge_server_used:
+        if fb.extra_follows:
             leaders.add(EDGE_SERVER_ID)
-            edge_used = True
         fallback = tuple(fb.messages)
 
     isolated = set(effective.node_ids) - leaders - set(follows)
@@ -628,7 +554,7 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
         log=sim.log,
         fallback_messages=fallback,
         scenario=scenario,
-        edge_server_used=edge_used,
+        edge_server_used=EDGE_SERVER_ID in leaders,
         rounds=sim.rounds,
         leader_set_phase1=frozenset(sim.leader_set_phase1),
         effective_instance=effective,

@@ -127,6 +127,19 @@ def test_solve_json_errors(runner, zero_lii_path):
     assert payload["case1"] is True
 
 
+def test_solve_json_errors_report_case2_at_rho(runner, tmp_path):
+    # UE 2 accepts only UE 1, which may not lead at rho 5
+    inst = Instance(3, (3, 0, 9), ((0, 0, 0), (5, 0, 0), (1, 0, 0)))
+    path = tmp_path / "case2.json"
+    save_instance(inst, path)
+    result = runner.invoke(main, ["--json-errors", "solve", "--mode", "strict",
+                                  "--rho", "5", str(path)])
+    assert result.exit_code == 3
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["case1"] is False
+    assert payload["case2_isolated"] == [1, 2]
+
+
 def test_solve_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["solve", str(tmp_path / "nope.json")])
     assert result.exit_code == 1

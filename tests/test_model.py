@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from leadsel import (
     Assignment,
+    Infeasible,
     Instance,
     attach_edge_server,
     check_constraints,
@@ -19,6 +20,7 @@ from leadsel import (
     load_instance,
     nobody_willing,
     save_instance,
+    solve_exhaustive,
     utility,
 )
 from leadsel.model import InstanceFormatError, ModelError
@@ -317,6 +319,14 @@ def test_case2_detects_unreachable_ue():
     scan = feasibility_scan(inst, 0)
     assert not scan.case1
     assert scan.case2_isolated == frozenset({1})
+
+
+def test_case2_counts_only_peers_that_may_lead_at_rho():
+    # UE 2 accepts only UE 1, whose lii 3 does not clear rho 5
+    inst = Instance(3, (3, 0, 9), ((0, 0, 0), (5, 0, 0), (1, 0, 0)))
+    assert feasibility_scan(inst, 5).case2_isolated == frozenset({1, 2})
+    with pytest.raises(Infeasible):
+        solve_exhaustive(inst, 5, mode="strict")
 
 
 # -- edge server --------------------------------------------------------------

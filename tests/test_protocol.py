@@ -31,6 +31,7 @@ from leadsel.protocol import (
     BROADCAST,
     CANDIDATE_LEADER,
     FOLLOW_REQUEST,
+    FOLLOWER,
     NACK,
     P2P,
     SCENARIO_1,
@@ -39,12 +40,12 @@ from leadsel.protocol import (
     LocalView,
     Message,
     NodeState,
-    PhaseStart,
     _best_candidate,
     _rank_candidates,
     detect_scenario,
-    on_event,
+    on_message,
     simulate_protocol,
+    take_role,
 )
 
 
@@ -86,46 +87,50 @@ def test_choose_leader_tie_breaks_to_lower_id():
 def test_phase_start_announces_above_threshold():
     view = LocalView(1, 8, {2: 3})
     state = NodeState(id=1)
-    out = on_event(state, PhaseStart(1), ProtocolConfig(rho=5), view)
+    take_role(state, view, ProtocolConfig(rho=5))
     assert state.role == CANDIDATE_LEADER
-    assert len(out) == 1 and out[0].kind == ANNOUNCE and out[0].lii == 8
+    inst = Instance(2, (8, 3), ((0, 3), (3, 0)))
+    sim = simulate_protocol(inst, ProtocolConfig(rho=5), random.Random(0))
+    announced = [m for m in sim.log if m.phase == 1 and m.receiver is None]
+    assert [(m.kind, m.sender, m.lii) for m in announced] == [(ANNOUNCE, 1, 8)]
 
 
 def test_phase_start_stays_quiet_below_threshold():
     view = LocalView(1, 3, {2: 3})
     state = NodeState(id=1)
-    assert on_event(state, PhaseStart(1), ProtocolConfig(rho=5), view) == []
+    take_role(state, view, ProtocolConfig(rho=5))
+    assert state.role == FOLLOWER
 
 
 def test_follow_request_to_non_leader_is_violation():
     view = LocalView(1, 3, {2: 3})
     state = NodeState(id=1)  # plain follower, cannot take followers
-    msg = Message(FOLLOW_REQUEST, 2, 1, 1, 0, P2P)
+    msg = Message(FOLLOW_REQUEST, 2, 1, 1, 1, P2P)
     with pytest.raises(ProtocolViolation):
-        on_event(state, msg, ProtocolConfig(), view)
+        on_message(state, msg, view, 1)
 
 
 def test_unexpected_ack_is_violation():
     view = LocalView(1, 8, {2: 3})
     state = NodeState(id=1, role=CANDIDATE_LEADER)
     with pytest.raises(ProtocolViolation):
-        on_event(state, Message(ACK, 2, 1, 1, 0, P2P), ProtocolConfig(), view)
+        on_message(state, Message(ACK, 2, 1, 1, 1, P2P), view, 1)
 
 
-def test_unknown_event_is_violation():
+def test_announcement_to_request_handler_is_violation():
+    view = LocalView(1, 3, {2: 3})
+    msg = Message(ANNOUNCE, 2, 1, 1, 0, P2P, lii=8)
     with pytest.raises(ProtocolViolation):
-        on_event(NodeState(id=1), object(), ProtocolConfig(),
-                 LocalView(1, 0, {}))
+        on_message(NodeState(id=1), msg, view, 0)
 
 
 def test_leader_at_capacity_nacks():
     view = LocalView(1, 8, {})
     state = NodeState(id=1, role=CANDIDATE_LEADER, capacity_remaining=1)
-    cfg = ProtocolConfig(caps={1: 1})
-    first = on_event(state, Message(FOLLOW_REQUEST, 2, 1, 1, 0, P2P), cfg, view)
-    second = on_event(state, Message(FOLLOW_REQUEST, 3, 1, 1, 0, P2P), cfg, view)
-    assert first[0].kind == ACK
-    assert second[0].kind == NACK
+    first = on_message(state, Message(FOLLOW_REQUEST, 2, 1, 1, 1, P2P), view, 1)
+    second = on_message(state, Message(FOLLOW_REQUEST, 3, 1, 1, 1, P2P), view, 1)
+    assert first == Message(ACK, 1, 2, 1, 1, P2P)
+    assert second == Message(NACK, 1, 3, 1, 1, P2P)
     assert state.followers == {2}
 
 

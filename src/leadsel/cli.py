@@ -53,11 +53,11 @@ def _load_caps(ctx, path, inst: model.Instance):
     if path is None:
         return None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         _fail(ctx, EXIT_IO, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         _fail(ctx, EXIT_USAGE, f"bad caps file {path}: {exc}")
     except RecursionError:
         _fail(ctx, EXIT_USAGE, f"bad caps file {path}: JSON nested too deeply")

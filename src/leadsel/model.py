@@ -163,20 +163,45 @@ class Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"not valid JSON (line {exc.lineno})") from exc
+        except ValueError as exc:  # not UTF-8, or an over-long integer literal
+            raise InstanceFormatError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise InstanceFormatError("JSON nested too deeply") from exc
     return Instance.from_json_dict(data)
 
 
 def save_instance(inst: Instance, path) -> None:
+    """Write ``inst`` as ``json.dump(inst.to_json_dict(), fh, indent=1,
+    sort_keys=True)`` and a newline would, byte for byte.
+
+    The layout is formatted directly: ``json.dump`` with an indent always
+    runs the pure-Python encoder, which is slow over N * N scores.
+    """
+    d = inst.to_json_dict()
+    rows = ",\n  ".join("[\n   " + _json_items(row, ",\n   ") + "\n  ]"
+                        for row in d["lxi"])
     with open(path, "w") as fh:
-        json.dump(inst.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n "edge_server": %s,\n "lii": [\n  %s\n ],\n'
+                 ' "lxi": [\n  %s\n ],\n "n": %s\n}\n' % (
+                     json.dumps(d["edge_server"]),
+                     _json_items(d["lii"], ",\n  "), rows, json.dumps(d["n"])))
+
+
+# The text of every int score; ``Instance`` keeps scores in this range.
+_INT_SCORE_TEXT = {v: str(v) for v in range(SCORE_MIN, SCORE_MAX + 1)}
+
+
+def _json_items(values, sep: str) -> str:
+    """The JSON texts of the scores ``values`` joined by ``sep``; a row of
+    plain ints skips the encoder."""
+    if set(map(type, values)) == {int}:
+        return sep.join(map(_INT_SCORE_TEXT.__getitem__, values))
+    return sep.join(map(json.dumps, values))
 
 
 def generate_instance(n: int, seed: int,

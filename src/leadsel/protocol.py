@@ -21,8 +21,8 @@ candidates from their stored score row; a follower requests its best
 candidate and ranks the rest only when that one answers NACK. The message
 log counts messages per (phase, kind, transport) as they are sent and keeps
 a p2p announcement as one entry for all its recipients; the per-recipient
-messages are built only when ``EpisodeOutcome.messages`` or ``write_log``
-reads the log.
+messages are built only when ``EpisodeOutcome.messages`` reads the log, and
+``write_log`` formats their lines without building them.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
@@ -296,8 +297,47 @@ class MessageLog:
                                   t.transport, t.lii)
 
 
-def _json_line(msg: Message) -> str:
-    return json.dumps(msg.to_json_dict(), sort_keys=True) + "\n"
+_LOG_LINE = ('{"kind": %s, %s"phase": %s, "receiver": %s, "round": %s, '
+             '"sender": %s, "transport": %s}\n')
+
+
+def _json_lines(entries: Iterable):
+    """The log lines of ``entries``, messages and ``MessageLog`` fan-outs.
+
+    Each message's line is ``json.dumps(msg.to_json_dict(), sort_keys=True)``
+    and a newline, byte for byte, formatted from one template. Ints and None
+    skip the encoder, and each string is encoded once. A fan-out is
+    formatted once, split around its receiver, and yields the lines of all
+    its recipients as one string.
+    """
+    strings: dict = {}
+
+    def enc(v) -> str:
+        if v.__class__ is int:
+            return str(v)
+        if v is None:
+            return "null"
+        if v.__class__ is str:
+            text = strings.get(v)
+            if text is None:
+                text = strings[v] = json.dumps(v)
+            return text
+        return json.dumps(v, sort_keys=True)
+
+    def line(m: Message, receiver: str) -> str:
+        lii = "" if m.lii is None else '"lii": ' + enc(m.lii) + ", "
+        return _LOG_LINE % (enc(m.kind), lii, enc(m.phase), receiver,
+                            enc(m.round), enc(m.sender), enc(m.transport))
+
+    for entry in entries:
+        if entry.__class__ is Message:
+            yield line(entry, enc(entry.receiver))
+        else:
+            t, recipients = entry
+            # the encoder escapes control characters, so NUL marks the split
+            head, tail = line(t, "\0").split("\0")
+            yield head + (tail + head).join(
+                [enc(r) for r in recipients if r != t.sender]) + tail
 
 
 @dataclass
@@ -431,8 +471,8 @@ class EpisodeOutcome:
 
     def write_log(self, path) -> None:
         with open(path, "w") as fh:
-            fh.writelines(map(_json_line, self.log))
-            fh.writelines(map(_json_line, self.fallback_messages))
+            fh.writelines(_json_lines(chain(self.log.entries,
+                                            self.fallback_messages)))
 
     def to_json_dict(self) -> dict:
         d = self.assignment.to_json_dict()

@@ -194,6 +194,21 @@ def test_solve_rejects_deeply_nested_json(runner, instance_a_path, tmp_path,
     assert "nested too deeply" in result.output
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe", b'{"1": ' + b"7" * 5000 + b"}",
+], ids=["not-utf8", "long-int"])
+@pytest.mark.parametrize("kind", ["instance", "caps"])
+def test_solve_rejects_unreadable_json(runner, instance_a_path, tmp_path,
+                                       kind, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = [str(bad)] if kind == "instance" else [
+        "--caps", str(bad), instance_a_path]
+    result = runner.invoke(main, ["solve"] + args)
+    assert result.exit_code == 2
+    assert f"bad {kind} file" in result.output
+
+
 @pytest.mark.parametrize("caps, key", [
     ({"1": -3}, "'1'"),
     ({"4": 1}, "'4'"),

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,36 @@ def test_save_load_round_trip(tmp_path, instance_a):
     path = tmp_path / "a.json"
     save_instance(instance_a, path)
     assert load_instance(path) == instance_a
+
+
+_SAVED_SCORES = (st.integers(0, 10) | st.floats(0, 10)
+                 | st.sampled_from([0.1, 1e-7, 10.0, 0.0, -0.0]))
+
+
+@st.composite
+def _saved_instances(draw):
+    n = draw(st.integers(1, 5))
+    edge = draw(st.booleans())
+    size = n + edge
+    lii = [draw(_SAVED_SCORES) for _ in range(size)]
+    lxi = [[draw(st.sampled_from([0, 0.0])) if c == r else draw(_SAVED_SCORES)
+            for c in range(size)] for r in range(size)]
+    if edge:
+        lii[0] = draw(st.integers(1, 10) | st.sampled_from([0.1, 1e-7, 10.0]))
+        lxi[0] = [0] * size
+    return Instance(n, tuple(lii), tuple(map(tuple, lxi)), edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_saved_instances())
+def test_save_instance_writes_what_json_dump_writes(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        save_instance(inst, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == (json.dumps(inst.to_json_dict(), indent=1,
+                                            sort_keys=True) + "\n").encode()
+        assert load_instance(path) == inst
 
 
 def test_load_rejects_missing_field(tmp_path):

@@ -425,6 +425,39 @@ def episodes(draw):
     return inst, cfg, draw(st.integers(0, 2**32))
 
 
+_ZERO_LII = Instance(3, (0, 0, 0), ((0, 5, 5), (5, 0, 5), (5, 5, 0)))
+
+
+@pytest.mark.parametrize("feature", [
+    "broadcast", "fan-out", "nack", "edge-offer", "float-lii"])
+def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
+    inst, cfg = {
+        "broadcast": (instance_a, ProtocolConfig(rho=4)),
+        "fan-out": (instance_a, ProtocolConfig(rho=4, transport=P2P)),
+        "nack": (generate_instance(30, 2), ProtocolConfig(
+            rho=5, transport=P2P, caps={n: 1 for n in range(1, 31)})),
+        "edge-offer": (_ZERO_LII, ProtocolConfig(edge_server_policy=True)),
+        "float-lii": (_ZERO_LII, ProtocolConfig(
+            incentive_policy=IncentivePolicy(0.5, 1.0))),
+    }[feature]
+    outcome = run_episode(inst, cfg, seed=1)
+    messages = outcome.messages
+    assert {
+        "broadcast": any(m.transport == BROADCAST and m.receiver is None
+                         for m in messages),
+        "fan-out": any(isinstance(e, tuple) for e in outcome.log.entries),
+        "nack": any(m.kind == NACK for m in messages),
+        "edge-offer": any(m.sender == 0 and m.receiver is None
+                          for m in outcome.fallback_messages),
+        "float-lii": any(isinstance(m.lii, float) for m in messages),
+    }[feature]
+    path = tmp_path / "log.jsonl"
+    outcome.write_log(path)
+    assert path.read_bytes() == "".join(
+        json.dumps(m.to_json_dict(), sort_keys=True) + "\n"
+        for m in messages).encode()
+
+
 @settings(max_examples=150, deadline=None)
 @given(episodes())
 def test_message_counts_match_the_materialised_log(episode):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Mapping, Optional
 
+from .counting import count_configs_exhaustive
 from .model import (
     EDGE_SERVER_ID,
     Assignment,
@@ -27,6 +28,9 @@ from .model import (
 )
 
 HARD_LIMIT = 14
+# the uncapacitated search visits count_configs_exhaustive(N) configurations;
+# N = 13 is the largest size it may take on
+CONFIG_BUDGET = count_configs_exhaustive(13)
 ORACLE_LIMIT = 7
 
 MODE_STRICT = "strict"
@@ -79,11 +83,20 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
     solved in descending order of an upper bound on their utility until the
     bound falls below the best utility found; ``configs_visited`` is then
     the number of leader sets enumerated, cut ones included.
+
+    Raises ``LimitExceeded`` before any work above ``HARD_LIMIT`` nodes
+    and, without caps, above ``CONFIG_BUDGET`` configurations.
     """
     strict = _check_mode(mode)
     if inst.node_count > HARD_LIMIT:
         raise LimitExceeded(
             f"{inst.node_count} nodes exceeds the hard limit {HARD_LIMIT}")
+    if caps is None:
+        configs = count_configs_exhaustive(inst.node_count)
+        if configs > CONFIG_BUDGET:
+            raise LimitExceeded(
+                f"{inst.node_count} nodes need {configs} configurations, "
+                f"over the budget of {CONFIG_BUDGET}")
     started = time.perf_counter()
     if caps is None:
         best, visited = _search_uncapacitated(inst, rho, strict)

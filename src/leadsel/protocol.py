@@ -15,14 +15,17 @@ order within a round is a seeded permutation (it only matters under
 capacities, where leaders serve first come first serve).
 
 The barrier also means that every receiver of an announcement round hears
-the same announcers, so the simulator keeps one table of ``(-lii, sender)``
-pairs per round, sorted once, and all its receivers share it. Devices rank
-candidates from their stored score row; a follower requests its best
-candidate and ranks the rest only when that one answers NACK. The message
-log counts messages per (phase, kind, transport) as they are sent and keeps
-a p2p announcement as one entry for all its recipients; the per-recipient
-messages are built only when ``EpisodeOutcome.messages`` reads the log, and
-``write_log`` formats their lines without building them.
+the same announcers, so the simulator builds one announcer table per round
+and all its receivers share it. The table groups the announcers into runs
+of equal lii, best first, ids ascending within a run. A device reads a
+run's scores from its stored row in one call and takes the first maximum,
+the lowest id; it reads the next run only while that run's lii could still
+reach the best total found. A follower requests its best candidate and
+ranks the rest from the same table only when that one answers NACK. The
+message log counts messages per (phase, kind, transport) as they are sent
+and keeps a p2p announcement as one entry for all its recipients; the
+per-recipient messages are built only when ``EpisodeOutcome.messages``
+reads the log, and ``write_log`` formats their lines without building them.
 """
 from __future__ import annotations
 
@@ -31,8 +34,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     DEFAULT_EDGE_LII,
@@ -74,8 +78,7 @@ class ProtocolViolation(Exception):
     """A message arrived that is illegal for the receiver's role/phase."""
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     kind: str
     sender: int
     receiver: Optional[int]  # None = broadcast
@@ -142,7 +145,7 @@ def _view(inst: Instance, n: int) -> LocalView:
 class NodeState:
     id: int
     role: str = FOLLOWER
-    # the sorted (-lii, id) announcer table of the node's first request
+    # the announcer table of the node's first request
     announcers: Optional[list] = None
     # ids still to try, best last; None until the first NACK ranks them
     leader_candidates: Optional[list] = None
@@ -153,42 +156,77 @@ class NodeState:
 
 def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
     """Best candidate by combined score, refusing anyone scored zero."""
-    return _best_candidate(_view(inst, m),
-                           sorted((-inst.lii_of(n), n) for n in candidates))
+    view = _view(inst, m)
+    return _best_candidate(view, _announcer_table(
+        [(-inst.lii_of(n), n) for n in candidates], view.offset))
 
 
-def _rank_candidates(view: LocalView, announcers: Sequence) -> list:
+def _announcer_table(announcers: Iterable, offset: int) -> list:
+    """The ``(-lii, id)`` announcer pairs as runs of equal lii.
+
+    Each run is ``(-lii, ids, read)``, best lii first, with ``ids``
+    ascending and ``read`` an ``itemgetter`` that reads their scores from a
+    row indexed at ``id - offset`` in one call. Ids below ``offset``, which
+    would index the row from its end, are left out.
+    """
+    runs = []
+    for neg, run in groupby(sorted(p for p in announcers if p[1] >= offset),
+                            itemgetter(0)):
+        ids = tuple(n for _, n in run)
+        rows = [n - offset for n in ids]
+        # a getter of one index returns a bare value, so a run of one reads
+        # its index twice
+        runs.append((neg, ids, itemgetter(*(rows * 2 if len(rows) == 1
+                                            else rows))))
+    return runs
+
+
+def _scores(run: tuple, view: LocalView) -> tuple:
+    """The ids of ``run`` other than the device and the device's scores
+    for them, in the same order. The run is read at the view's offset."""
+    _, ids, read = run
+    k = bisect_left(ids, view.id)
+    if k < len(ids) and ids[k] == view.id:
+        ids = ids[:k] + ids[k + 1:]
+        return ids, [view.lxi_row[n - view.offset] for n in ids]
+    return ids, read(view.lxi_row)
+
+
+def _rank_candidates(view: LocalView, table: list) -> list:
     """Candidate ids by descending ``lii + lxi``, lowest id first on ties.
 
-    ``announcers`` holds ``(-lii, id)`` pairs. The device itself, ids below
-    ``view.offset`` (which would index the row from its end) and candidates
-    it scores zero are left out.
+    ``table`` comes from ``_announcer_table`` at the view's offset. The
+    device itself and candidates it scores zero are left out.
     """
-    row, off, me = view.lxi_row, view.offset, view.id
-    scored = [(neg - row[n - off], n) for neg, n in announcers
-              if n != me and n >= off and row[n - off] > 0]
+    scored = []
+    for run in table:
+        neg = run[0]
+        ids, scores = _scores(run, view)
+        scored += [(neg - lxi, n) for n, lxi in zip(ids, scores) if lxi > 0]
     scored.sort()
     return [n for _, n in scored]
 
 
-def _best_candidate(view: LocalView, announcers: Sequence) -> Optional[int]:
-    """The first id of ``_rank_candidates(view, announcers)``, or None.
+def _best_candidate(view: LocalView, table: list) -> Optional[int]:
+    """The first id of ``_rank_candidates(view, table)``, or None.
 
-    ``announcers`` must be sorted. No lxi exceeds SCORE_MAX, so the scan
-    stops at the first lii that can no longer reach the best total found.
+    No lxi exceeds SCORE_MAX, so the scan stops at the first run whose lii
+    can no longer reach the best total found. A run tying that total is
+    still read, since a lower id there wins.
     """
-    row, off, me = view.lxi_row, view.offset, view.id
     best = best_key = None
-    for neg, n in announcers:
+    for run in table:
+        neg = run[0]
         if best is not None and neg - SCORE_MAX > best_key:
             break
-        if n != me and n >= off:
-            lxi = row[n - off]
-            if lxi > 0:
-                key = neg - lxi
-                if (best is None or key < best_key
-                        or (key == best_key and n < best)):
-                    best, best_key = n, key
+        ids, scores = _scores(run, view)
+        top = max(scores, default=0)
+        if top > 0:
+            key = neg - top
+            if best is None or key < best_key:
+                best, best_key = ids[scores.index(top)], key
+            elif key == best_key:
+                best = min(best, ids[scores.index(top)])
     return best
 
 
@@ -203,8 +241,8 @@ def take_role(state: NodeState, view: LocalView, cfg: ProtocolConfig) -> None:
 
 def request_best(state: NodeState, view: LocalView, announcers: list,
                  phase: int, rnd: int) -> Optional[Message]:
-    """The request to the best of the sorted ``announcers``, sent in round
-    ``rnd``, or None when the device scores every one of them zero."""
+    """The request to the best in the announcer table, sent in round
+    ``rnd``, or None when the device scores every announcer zero."""
     target = _best_candidate(view, announcers)
     if target is None:
         return None
@@ -353,16 +391,18 @@ class SimulationResult:
 def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                       rng: random.Random) -> SimulationResult:
     """Run both phases over all regular UEs; the edge server never takes part."""
-    ids = sorted(inst.ue_ids)
-    views = {n: _view(inst, n) for n in ids}
+    ids = inst.ue_ids
+    off = inst.node_ids.start
+    views = {n: LocalView(n, inst.lii[n - off], inst.lxi[n - off], off)
+             for n in ids}
     states = {n: NodeState(id=n) for n in ids}
     log = MessageLog()
     rnd = 0
 
     def announce(kind: str, phase: int, group: tuple, role: str) -> list:
         # Each member of group in role reaches every other member. The
-        # round's sorted (-lii, sender) table is returned for all to share.
-        table = []
+        # round's announcer table is returned for all to share.
+        pairs = []
         for n in group:
             if states[n].role == role:
                 lii = views[n].lii
@@ -371,9 +411,8 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                     log.add(msg)
                 else:
                     log.add_fanout(msg, group)
-                table.append((-lii, n))
-        table.sort()
-        return table
+                pairs.append((-lii, n))
+        return _announcer_table(pairs, off)
 
     def request(role: str, announcers: list, phase: int, at: int) -> list:
         # every node in role requests its best announcer in round at

@@ -140,6 +140,16 @@ def test_solve_json_errors_report_case2_at_rho(runner, tmp_path):
     assert payload["case2_isolated"] == [1, 2]
 
 
+def test_solve_over_the_config_budget_exits_2(runner, tmp_path):
+    path = str(tmp_path / "n14.json")
+    assert runner.invoke(main, ["gen", "--n", "14", "--seed", "0",
+                                "--out", path]).exit_code == 0
+    result = runner.invoke(main, ["solve", path])
+    assert result.exit_code == 2
+    assert ("error: 14 nodes need 3144297352 configurations, over the budget "
+            "of 337611001") in result.output
+
+
 def test_solve_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["solve", str(tmp_path / "nope.json")])
     assert result.exit_code == 1

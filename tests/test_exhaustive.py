@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leadsel.exhaustive
 from leadsel import (
     Assignment,
     Infeasible,
@@ -11,6 +12,7 @@ from leadsel import (
     LimitExceeded,
     brute_force_oracle,
     check_constraints,
+    count_configs_exhaustive,
     generate_instance,
     solve_exhaustive,
     utility,
@@ -55,6 +57,25 @@ def test_hard_limit_enforced():
         solve_exhaustive(inst, 0)
     with pytest.raises(LimitExceeded):
         brute_force_oracle(generate_instance(8, 0), 0)
+
+
+def test_config_budget_trips_before_the_search(monkeypatch):
+    def entered(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(leadsel.exhaustive, "_search_uncapacitated", entered)
+    budget = leadsel.exhaustive.CONFIG_BUDGET
+    assert budget == count_configs_exhaustive(13) == 337_611_001
+    inst = generate_instance(14, 0)
+    with pytest.raises(LimitExceeded, match=f"3144297352 .* {budget}$"):
+        solve_exhaustive(inst, 0)
+    # N = 13 is within the budget, and the capacitated search, whose cost is
+    # leader sets, keeps only the node limit
+    with pytest.raises(AssertionError, match="the search started"):
+        solve_exhaustive(generate_instance(13, 0), 0)
+    monkeypatch.setattr(leadsel.exhaustive, "_search_capacitated", entered)
+    with pytest.raises(AssertionError, match="the search started"):
+        solve_exhaustive(inst, 0, caps={1: 1})
 
 
 def test_solution_satisfies_constraints():

@@ -4,11 +4,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leadsel
 from leadsel import (
     Assignment,
     Instance,
@@ -40,6 +43,7 @@ from leadsel.protocol import (
     LocalView,
     Message,
     NodeState,
+    _announcer_table,
     _best_candidate,
     _rank_candidates,
     detect_scenario,
@@ -387,26 +391,80 @@ def test_best_candidate_heads_the_full_ranking(inst, data):
     m = data.draw(st.sampled_from(inst.ue_ids))
     pool = data.draw(st.sets(st.sampled_from(inst.ue_ids)))
     view = LocalView(m, inst.lii_of(m), inst.lxi[m - 1], 1)
-    announcers = sorted((-inst.lii_of(n), n) for n in pool)
-    ranked = _rank_candidates(view, announcers)
+    pairs = {(-inst.lii_of(n), n) for n in pool}
+    table = _announcer_table(pairs, 1)
+    ranked = _rank_candidates(view, table)
+    assert ranked == [n for _, n in sorted(
+        (-(inst.lii_of(n) + inst.lxi_of(m, n)), n) for n in pool
+        if n != m and inst.lxi_of(m, n) > 0)]
     head = ranked[0] if ranked else None
-    assert _best_candidate(view, announcers) == head
+    assert _best_candidate(view, table) == head
     assert choose_leader(inst, m, pool) == head
     # a row keyed by peer id leaves the device out; its own id in the
     # table is skipped, not looked up
     by_id = LocalView(m, inst.lii_of(m), inst.lxi_row(m))
     assert m not in by_id.lxi_row
-    announcers = sorted(set(announcers) | {(-inst.lii_of(m), m)})
-    assert _rank_candidates(by_id, announcers) == ranked
-    assert _best_candidate(by_id, announcers) == head
+    table = _announcer_table(pairs | {(-inst.lii_of(m), m)}, 0)
+    assert _rank_candidates(by_id, table) == ranked
+    assert _best_candidate(by_id, table) == head
 
 
 def test_ids_below_the_row_offset_are_refused():
     inst = Instance(2, (5, 5), ((0, 3), (3, 0)))
     view = LocalView(1, 5, inst.lxi[0], 1)
     # id 0 would index the row at -1, i.e. the last peer
-    assert _rank_candidates(view, [(-9, 0), (-5, 2)]) == [2]
-    assert _best_candidate(view, [(-9, 0)]) is None
+    assert _rank_candidates(view, _announcer_table([(-9, 0), (-5, 2)], 1)) == [2]
+    assert _best_candidate(view, _announcer_table([(-9, 0)], 1)) is None
+
+
+# Each case below needs the scan to read the run past a tie at the early
+# exit, and to take the first maximum of a run, the lowest id.
+
+def _assert_chosen(inst, rho, follower, expected):
+    candidates = [n for n in inst.ue_ids if inst.lii_of(n) > rho]
+    assert choose_leader(inst, follower, candidates) == expected
+    for transport in (BROADCAST, P2P):
+        outcome = run_episode(inst, ProtocolConfig(rho=rho, transport=transport),
+                              seed=0)
+        assert outcome.assignment.follows[follower] == expected
+
+
+def test_cross_run_tie_goes_to_the_lower_id_in_the_lower_run():
+    # UE 3 totals 19 for each candidate: lii 10 + lxi 9 for UE 2, lii 9 +
+    # lxi 10 for UEs 1 and 4
+    inst = Instance(4, (9, 10, 0, 9), ((0, 1, 1, 1), (1, 0, 1, 1),
+                                      (10, 9, 0, 10), (1, 1, 1, 0)))
+    assert [run[1] for run in _announcer_table(
+        [(-inst.lii_of(n), n) for n in (1, 2, 4)], 1)] == [(2,), (1, 4)]
+    _assert_chosen(inst, 5, 3, 1)
+
+
+def test_runs_of_one_with_float_lii():
+    # float lii, as an incentive of 0.5 leaves them, rarely tie, so each
+    # announcer is a run of its own; UE 3 totals 19.5 for both
+    inst = Instance(3, (9.5, 10, 0), ((0, 1, 1), (1, 0, 1), (10, 9.5, 0)))
+    assert [run[1] for run in _announcer_table([(-10, 2), (-9.5, 1)], 1)] \
+        == [(2,), (1,)]
+    _assert_chosen(inst, 5, 3, 1)
+    boosted = run_episode(_ZERO_LII, ProtocolConfig(
+        rho=0.25, incentive_policy=IncentivePolicy(0.5, 1.0)), seed=0)
+    effective = boosted.effective_instance
+    assert effective.lii == (0.5, 0.5, 0.5)
+    assert choose_leader(effective, 1, [3]) == 3
+
+
+def test_refused_run_is_passed_over_for_an_accepted_one():
+    # UE 7 scores the lii-10 run {4, 5} zero, and totals 13 for each of
+    # the lii-8 run {2, 3} and the lii-3 run {1, 6}
+    lii = (3, 8, 8, 10, 10, 3, 0)
+    rows = [[0 if c == r else 1 for c in range(7)] for r in range(7)]
+    rows[6] = [10, 5, 5, 0, 0, 10, 0]
+    inst = Instance(7, lii, tuple(map(tuple, rows)))
+    view = LocalView(7, 0, inst.lxi[6], 1)
+    table = _announcer_table([(-inst.lii_of(n), n) for n in range(1, 7)], 1)
+    assert [run[1] for run in table] == [(4, 5), (2, 3), (1, 6)]
+    assert _rank_candidates(view, table) == [1, 2, 3, 6]
+    _assert_chosen(inst, 2, 7, 1)
 
 
 @st.composite
@@ -445,12 +503,23 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
     assert {
         "broadcast": any(m.transport == BROADCAST and m.receiver is None
                          for m in messages),
-        "fan-out": any(isinstance(e, tuple) for e in outcome.log.entries),
+        "fan-out": any(e.__class__ is not Message for e in outcome.log.entries),
         "nack": any(m.kind == NACK for m in messages),
         "edge-offer": any(m.sender == 0 and m.receiver is None
                           for m in outcome.fallback_messages),
         "float-lii": any(isinstance(m.lii, float) for m in messages),
     }[feature]
+    # the messages a log entry stands for, built one by one
+    reference = []
+    for e in outcome.log.entries:
+        if e.__class__ is Message:
+            reference.append(e)
+            continue
+        t, recipients = e
+        reference += [Message(t.kind, t.sender, r, t.phase, t.round,
+                              t.transport, t.lii)
+                      for r in recipients if r != t.sender]
+    assert messages == tuple(reference) + outcome.fallback_messages
     path = tmp_path / "log.jsonl"
     outcome.write_log(path)
     assert path.read_bytes() == "".join(
@@ -505,3 +574,42 @@ def test_requests_are_bounded_by_ranked_candidates(episode):
         assert n in ranked and n != m and inst.lxi_of(m, n) > 0
     if cfg.caps is None:
         assert not any(m.kind == NACK for m in protocol)
+
+
+# -- messages -----------------------------------------------------------------
+
+def test_message_is_immutable_hashable_and_serialises_as_before():
+    msg = Message(ANNOUNCE, 2, None, 1, 0, BROADCAST, lii=8)
+    with pytest.raises(AttributeError):
+        msg.sender = 3
+    assert msg._fields == ("kind", "sender", "receiver", "phase", "round",
+                           "transport", "lii")
+    assert msg.to_json_dict() == {
+        "kind": ANNOUNCE, "sender": 2, "receiver": None, "phase": 1,
+        "round": 0, "transport": BROADCAST, "lii": 8}
+    req = Message(FOLLOW_REQUEST, 3, 2, 1, 1, P2P)
+    assert req.lii is None
+    assert req.to_json_dict() == {
+        "kind": FOLLOW_REQUEST, "sender": 3, "receiver": 2, "phase": 1,
+        "round": 1, "transport": P2P}
+    twin = Message(FOLLOW_REQUEST, 3, 2, 1, 1, P2P, None)
+    assert twin == req and hash(twin) == hash(req)
+    assert twin != Message(FOLLOW_REQUEST, 3, 2, 1, 2, P2P)
+
+
+def test_episodes_load_neither_numpy_nor_scipy():
+    # importing numpy costs more than a whole small benchmark set-up, so the
+    # protocol path stays on the standard library
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leadsel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from leadsel import ProtocolConfig, generate_instance, run_episode\n"
+            "inst = generate_instance(50, 0)\n"
+            "for t in ('broadcast', 'p2p'):\n"
+            "    run_episode(inst, ProtocolConfig(rho=5, transport=t), 0)\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -5,23 +5,19 @@ All values are plain Python integers, so they stay exact far beyond the
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into exactly k non-empty blocks.
 
-    Computed with the recurrence S(n+1, k) = k*S(n, k) + S(n, k-1).
+    Computed with the inclusion-exclusion formula
+    S(n, k) = sum_j (-1)**j * C(k, j) * (k - j)**n / k!.
     """
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs non-negative arguments")
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n
+               for j in range(k + 1)) // factorial(k)
 
 
 def count_configs_exhaustive(n: int) -> int:

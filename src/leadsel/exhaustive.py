@@ -23,6 +23,7 @@ from .model import (
     EDGE_SERVER_ID,
     Assignment,
     Instance,
+    check_caps,
     leader_candidates,
     utility as assignment_utility,
 )
@@ -77,12 +78,14 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
                      mode: str = MODE_RELAXED) -> OptimalSolution:
     """Optimal assignment by exhaustive leader-first-follower search.
 
-    Ties are broken toward the smallest sorted leader tuple, then the
-    smallest sorted follower map. With capacities the greedy completion is
-    replaced by an exact slot-matching per leader set, and leader sets are
-    solved in descending order of an upper bound on their utility until the
-    bound falls below the best utility found; ``configs_visited`` is then
-    the number of leader sets enumerated, cut ones included.
+    Ties go to the smallest ``Assignment.sort_key``: the sorted leader
+    tuple, then the sorted follower map. With caps the greedy completion
+    is an exact slot-matching per leader set, so the leaders are the
+    smallest optimal tuple but the follower map is the matching the
+    assignment solver picks for them, not always the smallest. Leader sets
+    are solved in descending order of an upper bound on their utility
+    until the bound falls below the best utility found; ``configs_visited``
+    is then the number of leader sets enumerated, cut ones included.
 
     Raises ``LimitExceeded`` before any work above ``HARD_LIMIT`` nodes
     and, without caps, above ``CONFIG_BUDGET`` configurations.
@@ -91,35 +94,54 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
     if inst.node_count > HARD_LIMIT:
         raise LimitExceeded(
             f"{inst.node_count} nodes exceeds the hard limit {HARD_LIMIT}")
-    if caps is None:
-        configs = count_configs_exhaustive(inst.node_count)
-        if configs > CONFIG_BUDGET:
-            raise LimitExceeded(
-                f"{inst.node_count} nodes need {configs} configurations, "
-                f"over the budget of {CONFIG_BUDGET}")
+    if caps is not None:
+        check_caps(caps)
+    elif (configs := count_configs_exhaustive(inst.node_count)) > CONFIG_BUDGET:
+        raise LimitExceeded(
+            f"{inst.node_count} nodes need {configs} configurations, "
+            f"over the budget of {CONFIG_BUDGET}")
     started = time.perf_counter()
+    best = _Incumbent(inst)
     if caps is None:
-        best, visited = _search_uncapacitated(inst, rho, strict)
+        visited = _search_uncapacitated(inst, rho, strict, best)
     else:
-        best, visited = _search_capacitated(inst, rho, caps, strict)
+        visited = _search_capacitated(inst, rho, caps, strict, best)
     elapsed = time.perf_counter() - started
-    if best is None:
+    if best.assignment is None:
         if strict:
             raise Infeasible("no assignment satisfies C1-C3 in strict mode")
         return OptimalSolution(Assignment.all_isolated(inst), 0, visited, elapsed)
-    util, assignment = best
-    return OptimalSolution(assignment, util, visited, elapsed)
+    return OptimalSolution(best.assignment, best.util, visited, elapsed)
 
 
-def _search_uncapacitated(inst: Instance, rho, strict: bool):
+class _Incumbent:
+    """The best assignment offered so far: the largest utility, then the
+    smallest ``Assignment.sort_key``, whatever order offers come in."""
+
+    util = assignment = key = None
+
+    def __init__(self, inst: Instance):
+        self.nodes = inst.node_ids
+
+    def offer(self, util, leaders: tuple, follows: dict) -> None:
+        """Keep this assignment if it wins; nodes that neither lead nor
+        follow are isolated."""
+        if self.util is not None and util < self.util:
+            return
+        isolated = [m for m in self.nodes
+                    if m not in follows and m not in leaders]
+        assignment = Assignment.build(leaders, follows, isolated)
+        key = assignment.sort_key()
+        if self.util is None or util > self.util or key < self.key:
+            self.util, self.assignment, self.key = util, assignment, key
+
+
+def _search_uncapacitated(inst: Instance, rho, strict: bool,
+                          best: _Incumbent) -> int:
     eligible = leader_candidates(inst, rho)
     kmax = inst.node_count // 2
     lii = {n: inst.lii_of(n) for n in inst.node_ids}
     lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
-
-    best_util = None
-    best_assignment = None
-    best_key = None
     visited = 0
 
     for k in range(1, kmax + 1):
@@ -158,9 +180,8 @@ def _search_uncapacitated(inst: Instance, rho, strict: bool):
                         if v > bv:
                             bv = v
                     util += bv
-                if best_util is not None and util < best_util:
+                if best.util is not None and util < best.util:
                     continue
-                # ties break toward the smallest assignment sort key;
                 # within the completion, the lowest leader id wins
                 follows = dict(zip(firsts, leaders))
                 for m in nonleaders:
@@ -174,67 +195,51 @@ def _search_uncapacitated(inst: Instance, rho, strict: bool):
                             bv, bl = v, l
                     if bl is not None:
                         follows[m] = bl
-                isolated = [m for m in nonleaders if m not in follows]
-                assignment = Assignment.build(leaders, follows, isolated)
-                key = assignment.sort_key()
-                if (best_util is None or util > best_util
-                        or (util == best_util and key < best_key)):
-                    best_util, best_assignment, best_key = util, assignment, key
-
-    if best_assignment is None:
-        return None, visited
-    return (best_util, best_assignment), visited
+                best.offer(util, leaders, follows)
+    return visited
 
 
-def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool):
+def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
+                        best: _Incumbent) -> int:
     # Exact per-leader-set completion as a max-weight slot matching: one
     # mandatory slot per leader (C2 lower bound) plus cap-1 optional slots,
     # and free isolation slots in relaxed mode.
     #
     # Leader sets are solved best bound first, and the search stops at the
     # first set whose bound falls below the best utility found. Sets that
-    # tie the best are still solved: the pick is the largest utility, then
-    # the smallest sort key, whatever order the sets are visited in.
+    # tie the best are still solved, since the incumbent keeps the smallest
+    # sort key whatever order the sets are visited in.
     import numpy as np
     from scipy.optimize import linear_sum_assignment
 
     eligible = [n for n in leader_candidates(inst, rho)
                 if caps.get(n, inst.node_count) >= 1]
     if not eligible:
-        return None, 0
+        return 0
     kmax = inst.node_count // 2
     lii = {n: inst.lii_of(n) for n in inst.node_ids}
     lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
     big = sum(lii.values()) + sum(sum(r.values()) for r in lxi.values()) + 1
 
-    # Every cost matrix is a slice of one dense matrix. Row m is UE m; the
-    # columns are each eligible leader's mandatory and optional slot, then
-    # one isolation column. A slice holds exactly the values of the matrix
-    # built cell by cell for its leader set, so the assignment solver
-    # breaks ties between equal matchings the same way.
+    # Every cost matrix is a slice of one dense matrix. Row m is UE m;
+    # columns 2e and 2e + 1 are eligible leader e's mandatory and optional
+    # slot, and column iso is the isolation column. A slice holds exactly
+    # the values of the matrix built cell by cell for its leader set, so
+    # the assignment solver breaks ties between equal matchings the same
+    # way.
     ues = [m for m in inst.node_ids if m != EDGE_SERVER_ID]
     iso = 2 * len(eligible)
     dense = np.full((inst.n + 1, iso + 1), np.inf)
     dense[:, iso] = 0.0
     positive = np.zeros((inst.n + 1, len(eligible)))
-    col_leader = []
-    col_mandatory = []
-    slots = []  # per eligible leader: its slot columns, mandatory first
-    limits = []
+    limits = [caps.get(l, len(ues)) for l in eligible]
     for e, l in enumerate(eligible):
-        col_leader += [l, l]
-        col_mandatory += [True, False]
-        slots.append([2 * e] + [2 * e + 1] * (len(ues) - 1))
-        limits.append(caps.get(l, len(ues)))
         for m in ues:
             v = lxi[m].get(l, 0)
             if v > 0:
                 dense[m, 2 * e] = -(v + big)
                 dense[m, 2 * e + 1] = -v
                 positive[m, e] = v
-    col_leader.append(None)
-    col_mandatory.append(False)
-    iso_cols = [iso] * len(ues)
 
     # A set's bound is its lii sum plus the smaller of two bounds on what
     # its followers add: the sum of each leader's cap largest scores, and
@@ -258,29 +263,24 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool):
     order = np.argsort(-bound, kind="stable").tolist()
     bound = bound.tolist()
 
-    best_util = None
-    best_assignment = None
-    best_key = None
-
     for s in order:
         # Float scores sum in another order here than in the utility, so a
         # bound may round below a utility it equals; the slack keeps such a
         # set in. Integer bounds and utilities are cut exactly as without it.
-        if (best_util is not None
-                and bound[s] < best_util - 1e-9 * (1 + abs(best_util))):
+        if (best.util is not None
+                and bound[s] < best.util - 1e-9 * (1 + abs(best.util))):
             break
         leaders = tuple(eligible[e] for e in sets[s])
         k = len(leaders)
-        lset = set(leaders)
-        rows = [m for m in ues if m not in lset]
+        rows = [m for m in ues if m not in leaders]
         r = len(rows)
         if r < k:
             continue
         cols = []
         for e in sets[s]:
-            cols += slots[e][:min(limits[e], r)]
+            cols += [2 * e] + [2 * e + 1] * (min(limits[e], r) - 1)
         if not strict:
-            cols += iso_cols[:r]
+            cols += [iso] * r
         elif len(cols) < r:
             continue
         try:
@@ -291,29 +291,17 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool):
         mandatory_filled = 0
         for i, j in zip(ri.tolist(), ci.tolist()):
             c = cols[j]
-            l = col_leader[c]
-            if l is not None:
-                follows[rows[i]] = l
-                mandatory_filled += col_mandatory[c]
+            if c < iso:
+                follows[rows[i]] = eligible[c // 2]
+                mandatory_filled += c % 2 == 0
         if mandatory_filled < k:
             continue  # some leader cannot receive any follower
         if strict and len(follows) < r:
             continue
         util = sum(lii[l] for l in leaders)
         util += sum(lxi[m][l] for m, l in follows.items())
-        if best_util is not None and util < best_util:
-            continue
-        isolated = [m for m in inst.node_ids
-                    if m not in lset and m not in follows]
-        assignment = Assignment.build(leaders, follows, isolated)
-        key = assignment.sort_key()
-        if (best_util is None or util > best_util
-                or (util == best_util and key < best_key)):
-            best_util, best_assignment, best_key = util, assignment, key
-
-    if best_assignment is None:
-        return None, len(sets)
-    return (best_util, best_assignment), len(sets)
+        best.offer(util, leaders, follows)
+    return len(sets)
 
 
 def brute_force_oracle(inst: Instance, rho, caps: Optional[Mapping] = None,

@@ -25,7 +25,7 @@ class ModelError(ValueError):
 
 
 class InstanceFormatError(ModelError):
-    """Instance file rejected by the loader; carries a field diagnostic."""
+    """Input file rejected by a loader; carries a field diagnostic."""
 
     def __init__(self, message: str, field_path: str = ""):
         super().__init__(f"{field_path}: {message}" if field_path else message)
@@ -162,17 +162,22 @@ class Instance:
         )
 
 
-def load_instance(path) -> Instance:
+def read_json(path):
+    """The JSON value of the UTF-8 file at ``path``. ``OSError`` passes
+    through; a file that does not parse raises ``InstanceFormatError``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"not valid JSON (line {exc.lineno})") from exc
         except ValueError as exc:  # not UTF-8, or an over-long integer literal
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise InstanceFormatError("JSON nested too deeply") from exc
-    return Instance.from_json_dict(data)
+
+
+def load_instance(path) -> Instance:
+    return Instance.from_json_dict(read_json(path))
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -322,6 +327,15 @@ def leader_candidates(inst: Instance, rho,
     """
     return [n for n in (inst.node_ids if ids is None else ids)
             if inst.lii_of(n) > rho]
+
+
+def check_caps(caps: Mapping) -> None:
+    """Raise ``ValueError`` naming the first key of ``caps`` whose follower
+    limit is not a non-negative int; a bool is not a limit."""
+    for key, limit in caps.items():
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+            raise ValueError(f"key {key!r}: limit must be a non-negative "
+                             f"integer, got {limit!r}")
 
 
 def nobody_willing(inst: Instance) -> bool:

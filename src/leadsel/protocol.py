@@ -46,6 +46,7 @@ from .model import (
     Assignment,
     Instance,
     attach_edge_server,
+    check_caps,
     leader_candidates,
     nobody_willing,
     utility as assignment_utility,
@@ -67,7 +68,6 @@ FOLLOWER = "follower"
 LEADER_WITH_FOLLOWERS = "leader_with_followers"
 ISOLATED_LEADER = "isolated_leader"
 ASSIGNED_FOLLOWER = "assigned_follower"
-ISOLATED = "isolated"
 
 SCENARIO_1 = "Scenario1"
 SCENARIO_2 = "Scenario2"
@@ -121,6 +121,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.delivery_order not in ("random", "ascending"):
             raise ValueError(f"unknown delivery order {self.delivery_order!r}")
+        if self.caps is not None:
+            check_caps(self.caps)
 
 
 @dataclass(slots=True)
@@ -479,11 +481,18 @@ class EpisodeOutcome:
     log: MessageLog                  # phase 1 and 2 traffic
     fallback_messages: tuple         # the edge-server exchange, sent last
     scenario: Optional[str]
-    edge_server_used: bool
     rounds: int
     leader_set_phase1: frozenset
     effective_instance: Instance
-    centralized_messages: int  # reference count for the one-shot central scheme
+
+    @property
+    def edge_server_used(self) -> bool:
+        return EDGE_SERVER_ID in self.assignment.leaders
+
+    @property
+    def centralized_messages(self) -> int:
+        """Reference count for the one-shot central scheme."""
+        return self.effective_instance.n + 1
 
     @property
     def message_counts(self) -> dict:
@@ -607,35 +616,21 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     else:
         sim = simulate_protocol(inst, cfg, rng)
 
-    leaders = set(sim.leaders)
-    follows = dict(sim.follows)
-    effective = inst
-    fallback = ()
-
-    if sim.unresolved:
-        fb = run_fallback_process(inst, cfg, sim.unresolved, rng)
-        effective = fb.instance
-        if fb.sim is not None:  # incentive succeeded; protocol was rerun
-            sim = fb.sim
-            leaders = set(fb.sim.leaders)
-            follows = dict(fb.sim.follows)
-        follows.update(fb.extra_follows)
-        if fb.extra_follows:
-            leaders.add(EDGE_SERVER_ID)
-        fallback = tuple(fb.messages)
-
-    isolated = set(effective.node_ids) - leaders - set(follows)
+    fb = (run_fallback_process(inst, cfg, sim.unresolved, rng)
+          if sim.unresolved else FallbackResult(inst, None, {}, []))
+    if fb.sim is not None:  # incentive succeeded; protocol was rerun
+        sim = fb.sim
+    leaders = set(sim.leaders) | set(fb.extra_follows.values())
+    follows = {**sim.follows, **fb.extra_follows}
+    isolated = set(fb.instance.node_ids) - leaders - set(follows)
     assignment = Assignment.build(leaders, follows, isolated)
-    util = assignment_utility(effective, assignment)
     return EpisodeOutcome(
         assignment=assignment,
-        utility=util,
+        utility=assignment_utility(fb.instance, assignment),
         log=sim.log,
-        fallback_messages=fallback,
+        fallback_messages=tuple(fb.messages),
         scenario=scenario,
-        edge_server_used=EDGE_SERVER_ID in leaders,
         rounds=sim.rounds,
         leader_set_phase1=frozenset(sim.leader_set_phase1),
-        effective_instance=effective,
-        centralized_messages=inst.n + 1,
+        effective_instance=fb.instance,
     )

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import leadsel
 from leadsel import save_instance
-from leadsel.cli import main
+from leadsel.cli import COUNT_MAX_N, main
 from leadsel.model import Instance
 
 
@@ -327,3 +327,13 @@ def test_count_with_bound(runner):
 def test_count_rejects_l_above_n(runner):
     result = runner.invoke(main, ["count", "--n", "3", "--l", "5"])
     assert result.exit_code == 2
+
+
+def test_count_up_to_its_limit(runner):
+    # deep enough that a Stirling recursion per n would overflow the stack
+    result = runner.invoke(main, ["count", "--n", "600"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["exhaustive"]) == 1128
+    result = runner.invoke(main, ["count", "--n", str(COUNT_MAX_N + 1)])
+    assert result.exit_code == 2
+    assert "--n" in result.output

@@ -62,6 +62,12 @@ def _enumerate_valid_configs(n: int) -> int:
     return total
 
 
+def test_stirling_numbers_need_no_recursion():
+    # S(n, 2) = 2**(n-1) - 1 counts the ways to split n items into two
+    # non-empty blocks
+    assert stirling2(1500, 2) == 2**1499 - 1
+
+
 def test_exhaustive_count_small_values():
     assert count_configs_exhaustive(2) == 2
     assert count_configs_exhaustive(4) == 16  # k=1: 4, k=2: 12

@@ -1,6 +1,10 @@
 """Exact solvers: exhaustive search vs the independent brute-force oracle."""
 from __future__ import annotations
 
+import random
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +14,7 @@ from leadsel import (
     Infeasible,
     Instance,
     LimitExceeded,
+    attach_edge_server,
     brute_force_oracle,
     check_constraints,
     count_configs_exhaustive,
@@ -17,6 +22,7 @@ from leadsel import (
     solve_exhaustive,
     utility,
 )
+from leadsel.model import EDGE_SERVER_ID
 
 
 def test_instance_a_optimum(instance_a):
@@ -96,6 +102,76 @@ def test_zero_lxi_means_refusal():
     assert 2 in sol.assignment.isolated
     with pytest.raises(Infeasible):
         solve_exhaustive(inst, 0, mode="strict")
+
+
+@pytest.mark.parametrize("limit", [1.5, True, -1, "2"])
+def test_bad_cap_limit_is_rejected(instance_a, limit):
+    with pytest.raises(ValueError, match=f"key 2: limit .* got {limit!r}"):
+        solve_exhaustive(instance_a, 0, caps={1: 1, 2: limit})
+
+
+def _optima(inst, rho, caps, strict):
+    """The largest utility and the sort keys of every assignment reaching
+    it, by direct enumeration, or None when no assignment is feasible."""
+    nodes = list(inst.node_ids)
+    best, keys = None, []
+    eligible = [n for n in nodes if inst.lii_of(n) > rho]
+    for k in range(len(eligible) + 1):
+        for leaders in combinations(eligible, k):
+            rest = [m for m in nodes if m not in leaders]
+            options = [[l for l in leaders if inst.lxi_of(m, l) > 0]
+                       + ([None] if not strict or m == EDGE_SERVER_ID else [])
+                       for m in rest]
+            for choice in product(*options):
+                follows = {m: l for m, l in zip(rest, choice) if l is not None}
+                counts = Counter(follows.values())
+                if len(counts) < k or any(counts[l] > caps.get(l, len(nodes))
+                                          for l in leaders):
+                    continue
+                util = (sum(inst.lii_of(l) for l in leaders)
+                        + sum(inst.lxi_of(m, l) for m, l in follows.items()))
+                key = (leaders, tuple(sorted(follows.items())))
+                if best is None or util > best:
+                    best, keys = util, [key]
+                elif util == best:
+                    keys.append(key)
+    return None if best is None else (best, keys)
+
+
+def test_tie_contract_on_tie_heavy_instances():
+    # Scores of 0..2 give many equal optima. Without caps the solver returns
+    # the smallest sort key among all of them; with caps, the smallest
+    # optimal leader tuple, with the matching the assignment solver picks
+    # for it.
+    rng = random.Random(8)
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        inst = Instance(n, tuple(rng.randint(0, 2) for _ in range(n)), tuple(
+            tuple(0 if r == c else rng.randint(0, 2) for c in range(n))
+            for r in range(n)))
+        if rng.random() < 0.3:
+            inst = attach_edge_server(inst, rng.randint(1, 2),
+                                      [rng.randint(0, 2) for _ in range(n)])
+        rho = rng.choice([0, 1])
+        mode = rng.choice(["strict", "relaxed"])
+        caps = None
+        if rng.random() < 0.5:
+            caps = {m: rng.randint(0, 2) for m in inst.node_ids
+                    if rng.random() < 0.8}
+        expected = _optima(inst, rho, caps or {}, mode == "strict")
+        if expected is None:
+            with pytest.raises(Infeasible):
+                solve_exhaustive(inst, rho, caps=caps, mode=mode)
+            continue
+        sol = solve_exhaustive(inst, rho, caps=caps, mode=mode)
+        util, keys = expected
+        assert sol.utility == util == utility(inst, sol.assignment)
+        key = sol.assignment.sort_key()
+        assert key in keys
+        if caps is None:
+            assert key == min(keys)
+        else:
+            assert key[0] == min(keys)[0]
 
 
 def test_tie_break_is_deterministic():

@@ -145,6 +145,13 @@ def test_config_rejects_unknown_transport():
         ProtocolConfig(transport="carrier-pigeon")
 
 
+@pytest.mark.parametrize("limit", [1.5, True, -1, None])
+def test_config_rejects_bad_cap_limits(limit):
+    # unchecked, a limit of 1.5 would let its leader take two followers
+    with pytest.raises(ValueError, match=f"key 3: limit .* got {limit!r}"):
+        ProtocolConfig(rho=5, caps={1: 1, 3: limit})
+
+
 def test_config_rejects_unknown_delivery_order():
     with pytest.raises(ValueError):
         ProtocolConfig(delivery_order="chaotic")

@@ -30,7 +30,7 @@ COUNT_MAX_N = 1000
 
 
 def _fail(ctx, code: int, message: str, **extra):
-    if ctx.obj and ctx.obj.get("json_errors"):
+    if ctx.find_root().params.get("json_errors"):
         payload = {"error": message, "exit_code": code, **extra}
         click.echo(json.dumps(payload, sort_keys=True), err=True)
     else:
@@ -65,7 +65,7 @@ def _load_caps(ctx, path, inst: model.Instance):
         _fail(ctx, EXIT_USAGE, f"bad caps file {path}: {exc}")
     if not isinstance(raw, dict):
         _fail(ctx, EXIT_USAGE, f"caps file {path} must map ue-id to limit")
-    caps = {}
+    caps, keys = {}, {}
     for key, limit in raw.items():
         try:
             node = int(key)
@@ -75,8 +75,10 @@ def _load_caps(ctx, path, inst: model.Instance):
             _fail(ctx, EXIT_USAGE, f"caps file {path}: key {key!r} is not a "
                   f"node id of the instance ({inst.node_ids.start}..{inst.n})")
         caps[node] = limit
+        keys[node] = key
     try:
-        model.check_caps(raw)
+        # diagnostics name a key as the file spells it
+        model.check_caps(caps, lambda node: repr(keys[node]))
     except ValueError as exc:
         _fail(ctx, EXIT_USAGE, f"caps file {path}: {exc}")
     return caps
@@ -89,13 +91,24 @@ def _threshold(ctx, rho: float):
     return int(rho) if rho.is_integer() else rho
 
 
-@click.group()
+class _Main(click.Group):
+    """Under --json-errors, click's own usage errors (a bad option value,
+    an unknown command) go through ``_fail`` too, with their exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            if not ctx.params.get("json_errors"):
+                raise
+            _fail(ctx, exc.exit_code, exc.format_message())
+
+
+@click.group(cls=_Main)
 @click.option("--json-errors", is_flag=True,
               help="Emit machine-readable JSON diagnostics on stderr.")
-@click.pass_context
-def main(ctx, json_errors):
+def main(json_errors):
     """Leader selection / follower association toolkit."""
-    ctx.obj = {"json_errors": json_errors}
 
 
 @main.command()

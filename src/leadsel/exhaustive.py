@@ -312,6 +312,8 @@ def brute_force_oracle(inst: Instance, rho, caps: Optional[Mapping] = None,
     intended purely as a cross-check on small instances.
     """
     strict = _check_mode(mode)
+    if caps is not None:
+        check_caps(caps)
     if inst.node_count > ORACLE_LIMIT:
         raise LimitExceeded(
             f"oracle is limited to {ORACLE_LIMIT} nodes, got {inst.node_count}")

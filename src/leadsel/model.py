@@ -329,12 +329,16 @@ def leader_candidates(inst: Instance, rho,
             if inst.lii_of(n) > rho]
 
 
-def check_caps(caps: Mapping) -> None:
-    """Raise ``ValueError`` naming the first key of ``caps`` whose follower
-    limit is not a non-negative int; a bool is not a limit."""
+def check_caps(caps: Mapping, name=repr) -> None:
+    """Raise ``ValueError`` naming the first key of ``caps`` that is not an
+    int node id, or whose follower limit is not a non-negative int; a bool
+    is neither. The key is named as ``name(key)`` gives it."""
     for key, limit in caps.items():
+        if not isinstance(key, int) or isinstance(key, bool):
+            raise ValueError(f"key {name(key)}: caps must be keyed by int "
+                             f"node ids")
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-            raise ValueError(f"key {key!r}: limit must be a non-negative "
+            raise ValueError(f"key {name(key)}: limit must be a non-negative "
                              f"integer, got {limit!r}")
 
 
@@ -372,7 +376,7 @@ def check_constraints(inst: Instance, a: Assignment, rho,
     in strict mode isolation itself is a C1 violation. C2: every leader has
     at least one follower and non-leaders have none. C3: leaders strictly
     exceed the threshold. The edge server (id 0) is exempt from C1: it is
-    infrastructure and may sit unused.
+    infrastructure and may sit unused. Caps are checked by ``check_caps``.
     """
     a.validate_structure(inst)
     violators = []
@@ -400,6 +404,7 @@ def check_constraints(inst: Instance, a: Assignment, rho,
 
     capacity_ok = True
     if caps is not None:
+        check_caps(caps)
         for n in sorted(a.leaders):
             limit = caps.get(n)
             if limit is not None and follower_counts[n] > limit:

@@ -6,32 +6,39 @@ Phase 2: announcers that attracted nobody convert to followers and pick
 among the leaders that did. A capacity-limited variant answers requests
 with ACK/NACK and followers retry down their candidate list.
 
-A device has four steps, each seeing only its own ``LocalView``: take a
-phase-1 role, request the best announcer, handle one request/ACK/NACK,
-and close phase 1. The simulator calls them directly in synchronous
+A device has five steps, each seeing only its own ``LocalView``: take a
+phase-1 role, request the best announcer, serve one request as a leader
+(ACK or NACK), take one reply as a requester (and pick the retry after a
+NACK), and close phase 1. The simulator calls them directly in synchronous
 rounds; the timer separating the phases is a round barrier, so every
-request and reply of a phase is delivered before phase 1 closes. Delivery
-order within a round is a seeded permutation (it only matters under
-capacities, where leaders serve first come first serve).
+request and reply of a phase is delivered before phase 1 closes. A
+delivery round is one pass over the round's ``(sender, target)`` request
+pairs in a seeded order (it only matters under capacities, where leaders
+serve first come first serve): each leader serves its requests in that
+order, and each requester takes its reply in the same order.
 
 The barrier also means that every receiver of an announcement round hears
 the same announcers, so the simulator builds one announcer table per round
 and all its receivers share it. The table groups the announcers into runs
 of equal lii, best first, ids ascending within a run. A device reads a
 run's scores from its stored row in one call and takes the first maximum,
-the lowest id; it reads the next run only while that run's lii could still
-reach the best total found. A follower requests its best candidate and
-ranks the rest from the same table only when that one answers NACK. The
-message log counts messages per (phase, kind, transport) as they are sent
-and keeps a p2p announcement as one entry for all its recipients; the
-per-recipient messages are built only when ``EpisodeOutcome.messages``
-reads the log, and ``write_log`` formats their lines without building them.
+the lowest id; a run holding SCORE_MAX ends the scan at its first such
+score. It reads the next run only while that run's lii could still reach
+the best total found. A follower requests its best candidate and ranks the
+rest from the same table only when that one answers NACK. The message log
+counts messages per (phase, kind, transport) as they are sent. It keeps a
+p2p announcement as one entry for all its recipients, and the requests, or
+the replies, of one phase and round as one batch of ``(kind, sender,
+receiver)`` items. The per-message records are built only when
+``EpisodeOutcome.messages`` reads the log, and ``write_log`` formats their
+lines without building them.
 """
 from __future__ import annotations
 
 import json
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
@@ -214,7 +221,9 @@ def _best_candidate(view: LocalView, table: list) -> Optional[int]:
 
     No lxi exceeds SCORE_MAX, so the scan stops at the first run whose lii
     can no longer reach the best total found. A run tying that total is
-    still read, since a lower id there wins.
+    still read, since a lower id there wins. A run holding SCORE_MAX ends
+    the scan at its first such score: no score beats it, and no later run
+    reaches its total.
     """
     best = best_key = None
     for run in table:
@@ -222,6 +231,11 @@ def _best_candidate(view: LocalView, table: list) -> Optional[int]:
         if best is not None and neg - SCORE_MAX > best_key:
             break
         ids, scores = _scores(run, view)
+        if SCORE_MAX in scores:
+            n = ids[scores.index(SCORE_MAX)]
+            if best is None or neg - SCORE_MAX < best_key:
+                return n
+            return min(best, n)
         top = max(scores, default=0)
         if top > 0:
             key = neg - top
@@ -241,56 +255,64 @@ def take_role(state: NodeState, view: LocalView, cfg: ProtocolConfig) -> None:
             state.capacity_remaining = cfg.caps.get(view.id)
 
 
-def request_best(state: NodeState, view: LocalView, announcers: list,
-                 phase: int, rnd: int) -> Optional[Message]:
-    """The request to the best in the announcer table, sent in round
-    ``rnd``, or None when the device scores every announcer zero."""
+def request_best(state: NodeState, view: LocalView,
+                 announcers: list) -> Optional[int]:
+    """The id of the best in the announcer table, or None when the device
+    scores every announcer zero."""
     target = _best_candidate(view, announcers)
-    if target is None:
-        return None
-    state.announcers = announcers  # the rest are ranked on the first NACK
-    return Message(FOLLOW_REQUEST, state.id, target, phase, rnd, P2P)
+    if target is not None:
+        state.announcers = announcers  # the rest are ranked on the first NACK
+    return target
 
 
-def on_message(state: NodeState, msg: Message, view: LocalView,
-               rnd: int) -> Optional[Message]:
-    """Handle one request, ACK or NACK delivered in round ``rnd``.
+def serve_request(state: NodeState, sender: int) -> str:
+    """A leader takes one request from ``sender``: ACK, or NACK when it is
+    at capacity."""
+    if state.role not in (CANDIDATE_LEADER, LEADER_WITH_FOLLOWERS):
+        raise ProtocolViolation(
+            f"node {state.id} ({state.role}) cannot take followers")
+    if state.capacity_remaining is not None:
+        if state.capacity_remaining <= 0:
+            return NACK
+        state.capacity_remaining -= 1
+    state.followers.add(sender)
+    return ACK
 
-    Returns the reply to a request or the retry after a NACK, sent in the
-    same round and phase, or None.
+
+def take_reply(state: NodeState, kind: str, leader: int,
+               view: LocalView) -> Optional[int]:
+    """A requester takes the ACK or NACK ``leader`` sent it.
+
+    Returns the id to request next after a NACK, or None.
     """
-    kind = msg.kind
-    if kind == FOLLOW_REQUEST:
-        if state.role not in (CANDIDATE_LEADER, LEADER_WITH_FOLLOWERS):
-            raise ProtocolViolation(
-                f"node {state.id} ({state.role}) cannot take followers")
-        if state.capacity_remaining is not None:
-            if state.capacity_remaining <= 0:
-                return Message(NACK, state.id, msg.sender, msg.phase, rnd, P2P)
-            state.capacity_remaining -= 1
-        state.followers.add(msg.sender)
-        return Message(ACK, state.id, msg.sender, msg.phase, rnd, P2P)
     if kind not in (ACK, NACK):
         raise ProtocolViolation(f"unknown message kind {kind}")
     if state.role not in (FOLLOWER, ISOLATED_LEADER) or state.announcers is None:
         raise ProtocolViolation(f"unexpected {kind} at {state.id}")
     if kind == ACK:
         state.role = ASSIGNED_FOLLOWER
-        state.leader = msg.sender
+        state.leader = leader
         return None
     if state.leader_candidates is None:
         # the best candidate, just refused, heads the full ranking
         state.leader_candidates = _rank_candidates(view, state.announcers)[:0:-1]
     if not state.leader_candidates:
         return None
-    return Message(FOLLOW_REQUEST, state.id, state.leader_candidates.pop(),
-                   msg.phase, rnd, P2P)
+    return state.leader_candidates.pop()
 
 
 def close_phase1(state: NodeState) -> None:
     """Phase 1 closes: a candidate leader keeps leading only with followers."""
     if state.role == CANDIDATE_LEADER:
         state.role = LEADER_WITH_FOLLOWERS if state.followers else ISOLATED_LEADER
+
+
+class RoundBatch(NamedTuple):
+    """The p2p requests, or the replies, of one phase and round, in send
+    order, as ``(kind, sender, receiver)`` items."""
+    phase: int
+    round: int
+    items: list
 
 
 @dataclass
@@ -300,14 +322,15 @@ class MessageLog:
     ``tally`` counts them per (phase, kind, transport) as they are sent. A
     p2p announcement is one ``(template, recipients)`` entry: the template
     has no receiver, and it stands for one message to every recipient but
-    its sender. Those messages are built only when the log is read.
+    its sender. Requests and replies are logged a round at a time as a
+    ``RoundBatch``. Those messages are built only when the log is read.
     """
     entries: list = field(default_factory=list)
     tally: dict = field(default_factory=dict)
 
     def add(self, msg: Message) -> None:
         self.entries.append(msg)
-        self._count(msg, 1)
+        self._count(msg.phase, msg.kind, msg.transport, 1)
 
     def add_fanout(self, template: Message, recipients: tuple) -> None:
         """Log ``template`` once to each of the sorted ``recipients`` but
@@ -316,10 +339,17 @@ class MessageLog:
         k = len(recipients) - (recipients[i:i + 1] == (template.sender,))
         if k:
             self.entries.append((template, recipients))
-            self._count(template, k)
+            self._count(template.phase, template.kind, template.transport, k)
 
-    def _count(self, msg: Message, k: int) -> None:
-        key = (msg.phase, msg.kind, msg.transport)
+    def add_batch(self, phase: int, rnd: int, items: list) -> None:
+        """Log the p2p ``(kind, sender, receiver)`` items sent in ``rnd``."""
+        if items:
+            self.entries.append(RoundBatch(phase, rnd, items))
+            for kind, k in Counter(map(itemgetter(0), items)).items():
+                self._count(phase, kind, P2P, k)
+
+    def _count(self, phase: int, kind: str, transport: str, k: int) -> None:
+        key = (phase, kind, transport)
         self.tally[key] = self.tally.get(key, 0) + k
 
     def __len__(self) -> int:
@@ -329,12 +359,16 @@ class MessageLog:
         for entry in self.entries:
             if entry.__class__ is Message:
                 yield entry
-                continue
-            t, recipients = entry
-            for r in recipients:
-                if r != t.sender:
-                    yield Message(t.kind, t.sender, r, t.phase, t.round,
-                                  t.transport, t.lii)
+            elif entry.__class__ is RoundBatch:
+                phase, rnd, items = entry
+                for kind, sender, receiver in items:
+                    yield Message(kind, sender, receiver, phase, rnd, P2P)
+            else:
+                t, recipients = entry
+                for r in recipients:
+                    if r != t.sender:
+                        yield Message(t.kind, t.sender, r, t.phase, t.round,
+                                      t.transport, t.lii)
 
 
 _LOG_LINE = ('{"kind": %s, %s"phase": %s, "receiver": %s, "round": %s, '
@@ -342,13 +376,16 @@ _LOG_LINE = ('{"kind": %s, %s"phase": %s, "receiver": %s, "round": %s, '
 
 
 def _json_lines(entries: Iterable):
-    """The log lines of ``entries``, messages and ``MessageLog`` fan-outs.
+    """The log lines of ``entries``: messages and ``MessageLog`` fan-outs
+    and batches.
 
     Each message's line is ``json.dumps(msg.to_json_dict(), sort_keys=True)``
     and a newline, byte for byte, formatted from one template. Ints and None
     skip the encoder, and each string is encoded once. A fan-out is
     formatted once, split around its receiver, and yields the lines of all
-    its recipients as one string.
+    its recipients as one string. A batch formats one line per kind with its
+    phase, round and transport filled in, and fills in only the receiver
+    and the sender per item; its node ids are ints.
     """
     strings: dict = {}
 
@@ -372,6 +409,13 @@ def _json_lines(entries: Iterable):
     for entry in entries:
         if entry.__class__ is Message:
             yield line(entry, enc(entry.receiver))
+        elif entry.__class__ is RoundBatch:
+            phase, rnd, items = entry
+            lines = {kind: _LOG_LINE % (enc(kind), "", enc(phase), "%d",
+                                        enc(rnd), "%d", enc(P2P))
+                     for kind in (FOLLOW_REQUEST, ACK, NACK)}
+            yield "".join([lines[kind] % (receiver, sender)
+                           for kind, sender, receiver in items])
         else:
             t, recipients = entry
             # the encoder escapes control characters, so NUL marks the split
@@ -417,44 +461,47 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
         return _announcer_table(pairs, off)
 
     def request(role: str, announcers: list, phase: int, at: int) -> list:
-        # every node in role requests its best announcer in round at
-        sent = []
+        # every node in role requests its best announcer in round at; the
+        # (sender, target) pairs are returned
+        pending = []
         for n in ids:
             if states[n].role == role:
-                msg = request_best(states[n], views[n], announcers, phase, at)
-                if msg is not None:
-                    log.add(msg)
-                    sent.append(msg)
-        return sent
+                target = request_best(states[n], views[n], announcers)
+                if target is not None:
+                    pending.append((n, target))
+        log.add_batch(phase, at, [(FOLLOW_REQUEST, m, n) for m, n in pending])
+        return pending
 
-    def handle(delivered: list) -> list:
-        # the messages sent in answer to those delivered in round rnd
-        sent = []
-        for msg in delivered:
-            r = msg.receiver
-            out = on_message(states[r], msg, views[r], rnd)
-            if out is not None:
-                log.add(out)
-                sent.append(out)
-        return sent
-
-    def deliver(pending: list) -> None:
-        # leaders serve in delivery order; NACKed requesters retry next round
+    def deliver(pending: list, phase: int) -> None:
+        # One pass per round: leaders serve in delivery order, and each
+        # requester takes its reply in that order (no node is both, so this
+        # is the same as serving every request first). NACKed requesters
+        # retry next round.
         nonlocal rnd
         while pending:
             rnd += 1
             if cfg.delivery_order == "random":
                 rng.shuffle(pending)
             else:
-                pending.sort(key=lambda m: m.sender)
-            pending = handle(handle(pending))
+                pending.sort()  # one request per sender: by sender
+            replies = []
+            retries = []
+            for m, n in pending:
+                kind = serve_request(states[n], m)
+                replies.append((kind, n, m))
+                retry = take_reply(states[m], kind, n, views[m])
+                if retry is not None:
+                    retries.append((FOLLOW_REQUEST, m, retry))
+            log.add_batch(phase, rnd, replies)
+            log.add_batch(phase, rnd, retries)
+            pending = [(m, n) for _, m, n in retries]
 
     # Phase 1: announcements in round 0, then requests and NACK retries
     for n in ids:
         take_role(states[n], views[n], cfg)
     leader_set_phase1 = {n for n in ids if states[n].role == CANDIDATE_LEADER}
     table = announce(ANNOUNCE, 1, tuple(ids), CANDIDATE_LEADER)
-    deliver(request(FOLLOWER, table, 1, rnd + 1))
+    deliver(request(FOLLOWER, table, 1, rnd + 1), 1)
     for n in leader_set_phase1:
         close_phase1(states[n])
 
@@ -463,7 +510,7 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     rnd += 1
     table = announce(PHASE2_ANNOUNCE, 2, tuple(sorted(leader_set_phase1)),
                      LEADER_WITH_FOLLOWERS)
-    deliver(request(ISOLATED_LEADER, table, 2, rnd))
+    deliver(request(ISOLATED_LEADER, table, 2, rnd), 2)
 
     leaders = {n for n in ids
                if states[n].role == LEADER_WITH_FOLLOWERS and states[n].followers}

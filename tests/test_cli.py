@@ -236,6 +236,24 @@ def test_caps_reject_bad_ids_and_limits(runner, instance_a_path, tmp_path,
         assert f"key {key}" in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", str(COUNT_MAX_N + 1)],
+    ["gen", "--n", "0", "--out", "x.json"],
+    ["count"],
+    ["no-such-command"],
+])
+def test_json_errors_cover_usage_errors(runner, argv):
+    plain = runner.invoke(main, argv)
+    assert plain.exit_code == 2
+    assert "Usage:" in plain.output and "Error:" in plain.output
+    result = runner.invoke(main, ["--json-errors"] + argv)
+    assert result.exit_code == 2
+    payload = json.loads(result.output)
+    assert payload["exit_code"] == 2
+    error = plain.output.splitlines()[-1]
+    assert error == "Error: " + payload["error"]
+
+
 @pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
 def test_non_finite_rho_is_rejected(runner, instance_a_path, rho):
     for command in ("solve", "simulate"):

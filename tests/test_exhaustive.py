@@ -110,6 +110,25 @@ def test_bad_cap_limit_is_rejected(instance_a, limit):
         solve_exhaustive(instance_a, 0, caps={1: 1, 2: limit})
 
 
+@pytest.mark.parametrize("key", ["1", True, 1.0, None])
+def test_cap_keys_must_be_int_node_ids(key):
+    # caps keyed by strings, as json.load returns them, used to be ignored:
+    # this instance solves to utility 49 uncapped and 0 with every cap at 0
+    inst = generate_instance(6, 1)
+    assert solve_exhaustive(inst, 0).utility == 49
+    caps = {n: 0 for n in inst.node_ids}
+    assert solve_exhaustive(inst, 0, caps=caps).utility == 0
+    del caps[1]
+    caps[key] = 0
+    for solve in (solve_exhaustive, brute_force_oracle):
+        with pytest.raises(ValueError, match=f"key {key!r}: caps must be "
+                                             "keyed by int node ids"):
+            solve(inst, 0, caps=caps)
+    with pytest.raises(ValueError, match=f"key {key!r}"):
+        check_constraints(inst, solve_exhaustive(inst, 0).assignment, 0,
+                          caps=caps)
+
+
 def _optima(inst, rho, caps, strict):
     """The largest utility and the sort keys of every assignment reaching
     it, by direct enumeration, or None when no assignment is feasible."""

@@ -43,12 +43,15 @@ from leadsel.protocol import (
     LocalView,
     Message,
     NodeState,
+    RoundBatch,
     _announcer_table,
     _best_candidate,
     _rank_candidates,
     detect_scenario,
-    on_message,
+    request_best,
+    serve_request,
     simulate_protocol,
+    take_reply,
     take_role,
 )
 
@@ -107,35 +110,56 @@ def test_phase_start_stays_quiet_below_threshold():
 
 
 def test_follow_request_to_non_leader_is_violation():
-    view = LocalView(1, 3, {2: 3})
     state = NodeState(id=1)  # plain follower, cannot take followers
-    msg = Message(FOLLOW_REQUEST, 2, 1, 1, 1, P2P)
     with pytest.raises(ProtocolViolation):
-        on_message(state, msg, view, 1)
+        serve_request(state, 2)
+    assert state.followers == set()
 
 
 def test_unexpected_ack_is_violation():
+    # a reply at a candidate leader, which sends no requests
     view = LocalView(1, 8, {2: 3})
     state = NodeState(id=1, role=CANDIDATE_LEADER)
-    with pytest.raises(ProtocolViolation):
-        on_message(state, Message(ACK, 2, 1, 1, 1, P2P), view, 1)
+    for kind in (ACK, NACK):
+        with pytest.raises(ProtocolViolation):
+            take_reply(state, kind, 2, view)
+
+
+def test_reply_without_a_request_is_violation():
+    view = LocalView(1, 3, {2: 3})
+    state = NodeState(id=1)  # a follower that has requested nobody
+    for kind in (ACK, NACK):
+        with pytest.raises(ProtocolViolation):
+            take_reply(state, kind, 2, view)
+    assert state.role == FOLLOWER and state.leader is None
 
 
 def test_announcement_to_request_handler_is_violation():
     view = LocalView(1, 3, {2: 3})
-    msg = Message(ANNOUNCE, 2, 1, 1, 0, P2P, lii=8)
+    state = NodeState(id=1)
+    assert request_best(state, view, _announcer_table([(-8, 2)], 0)) == 2
     with pytest.raises(ProtocolViolation):
-        on_message(NodeState(id=1), msg, view, 0)
+        take_reply(state, ANNOUNCE, 2, view)
 
 
 def test_leader_at_capacity_nacks():
-    view = LocalView(1, 8, {})
     state = NodeState(id=1, role=CANDIDATE_LEADER, capacity_remaining=1)
-    first = on_message(state, Message(FOLLOW_REQUEST, 2, 1, 1, 1, P2P), view, 1)
-    second = on_message(state, Message(FOLLOW_REQUEST, 3, 1, 1, 1, P2P), view, 1)
-    assert first == Message(ACK, 1, 2, 1, 1, P2P)
-    assert second == Message(NACK, 1, 3, 1, 1, P2P)
+    assert serve_request(state, 2) == ACK
+    assert serve_request(state, 3) == NACK
     assert state.followers == {2}
+
+
+def test_nack_retries_down_the_ranking():
+    # UE 1 ranks 2 (5 + 4) over 3 (5 + 1) over 4 (3 + 2)
+    view = LocalView(1, 0, {2: 4, 3: 1, 4: 2})
+    state = NodeState(id=1)
+    table = _announcer_table([(-5, 2), (-5, 3), (-3, 4)], 0)
+    assert request_best(state, view, table) == 2
+    assert take_reply(state, NACK, 2, view) == 3
+    assert take_reply(state, NACK, 3, view) == 4
+    assert take_reply(state, NACK, 4, view) is None
+    assert take_reply(state, ACK, 4, view) is None
+    assert state.leader == 4
 
 
 # -- configuration validation -------------------------------------------------
@@ -150,6 +174,21 @@ def test_config_rejects_bad_cap_limits(limit):
     # unchecked, a limit of 1.5 would let its leader take two followers
     with pytest.raises(ValueError, match=f"key 3: limit .* got {limit!r}"):
         ProtocolConfig(rho=5, caps={1: 1, 3: limit})
+
+
+@pytest.mark.parametrize("key", ["3", True, 3.0])
+def test_config_rejects_caps_not_keyed_by_node_id(key):
+    # caps keyed by strings used to be ignored: the episode ran as uncapped
+    inst = generate_instance(6, 1)
+    uncapped = run_episode(inst, ProtocolConfig(rho=5), seed=0)
+    assert uncapped.utility == 37 and uncapped.assignment.leaders == {2, 6}
+    caps = {n: 0 for n in range(1, 7)}
+    outcome = run_episode(inst, ProtocolConfig(rho=5, caps=caps), seed=0)
+    assert outcome.utility == 0 and not outcome.assignment.leaders
+    del caps[int(key)]
+    caps[key] = 0
+    with pytest.raises(ValueError, match=f"key {key!r}: caps must be keyed"):
+        ProtocolConfig(caps=caps)
 
 
 def test_config_rejects_unknown_delivery_order():
@@ -416,6 +455,50 @@ def test_best_candidate_heads_the_full_ranking(inst, data):
     assert _best_candidate(by_id, table) == head
 
 
+# Scores around SCORE_MAX: float and int tens, and lii values that give
+# few runs, so that a top run often holds SCORE_MAX more than once and
+# other runs hold none.
+_NEAR_MAX = st.sampled_from([0, 1, 4, 9, 9.5, 10, 10.0])
+
+
+def _assert_best_heads_ranking(row, lii, m, pool):
+    view = LocalView(m, lii[m - 1], row, 1)
+    table = _announcer_table([(-lii[k - 1], k) for k in pool], 1)
+    ranked = _rank_candidates(view, table)
+    assert ranked == [k for _, k in sorted(
+        (-(lii[k - 1] + row[k - 1]), k) for k in pool
+        if k != m and row[k - 1] > 0)]
+    best = _best_candidate(view, table)
+    assert best == (ranked[0] if ranked else None)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_best_candidate_stops_at_score_max(data):
+    n = data.draw(st.integers(2, 10))
+    row = data.draw(st.lists(_NEAR_MAX, min_size=n, max_size=n))
+    lii = data.draw(st.lists(st.sampled_from([0, 4, 5, 5.0, 10]),
+                             min_size=n, max_size=n))
+    _assert_best_heads_ranking(row, lii, data.draw(st.integers(1, n)),
+                               data.draw(st.sets(st.integers(1, n))))
+
+
+@pytest.mark.parametrize("row, lii, best", [
+    # SCORE_MAX three times in the top run, as int and float
+    ([10, 10.0, 10, 3], [5, 5, 5, 5], 1),
+    ([9.5, 10.0, 10, 3], [5, 5.0, 5, 5], 2),
+    # the top run has none; a lower run's 10.0 ties 5 + 9 and loses on id
+    ([9, 10.0, 0, 0], [5, 4.0, 5, 9], 1),
+    # the lower run's 10 beats the top run's best total
+    ([1, 10, 0, 0], [5, 4, 5, 9], 2),
+    # no SCORE_MAX anywhere
+    ([9, 9.5, 1, 0], [4, 5, 5.0, 9], 2),
+])
+def test_best_candidate_at_score_max_cases(row, lii, best):
+    assert _assert_best_heads_ranking(row, lii, 4, {1, 2, 3}) == best
+
+
 def test_ids_below_the_row_offset_are_refused():
     inst = Instance(2, (5, 5), ((0, 3), (3, 0)))
     view = LocalView(1, 5, inst.lxi[0], 1)
@@ -510,7 +593,7 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
     assert {
         "broadcast": any(m.transport == BROADCAST and m.receiver is None
                          for m in messages),
-        "fan-out": any(e.__class__ is not Message for e in outcome.log.entries),
+        "fan-out": any(e.__class__ is tuple for e in outcome.log.entries),
         "nack": any(m.kind == NACK for m in messages),
         "edge-offer": any(m.sender == 0 and m.receiver is None
                           for m in outcome.fallback_messages),
@@ -521,6 +604,10 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
     for e in outcome.log.entries:
         if e.__class__ is Message:
             reference.append(e)
+            continue
+        if e.__class__ is RoundBatch:
+            reference += [Message(kind, sender, receiver, e.phase, e.round, P2P)
+                          for kind, sender, receiver in e.items]
             continue
         t, recipients = e
         reference += [Message(t.kind, t.sender, r, t.phase, t.round,

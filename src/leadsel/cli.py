@@ -74,6 +74,9 @@ def _load_caps(ctx, path, inst: model.Instance):
         if node not in inst.node_ids:
             _fail(ctx, EXIT_USAGE, f"caps file {path}: key {key!r} is not a "
                   f"node id of the instance ({inst.node_ids.start}..{inst.n})")
+        if node in caps:
+            _fail(ctx, EXIT_USAGE, f"caps file {path}: key {key!r} names "
+                  f"node {node} again (first as {keys[node]!r})")
         caps[node] = limit
         keys[node] = key
     try:

@@ -25,11 +25,13 @@ run's scores from its stored row in one call and takes the first maximum,
 the lowest id; a run holding SCORE_MAX ends the scan at its first such
 score. It reads the next run only while that run's lii could still reach
 the best total found. A follower requests its best candidate and ranks the
-rest from the same table only when that one answers NACK. The message log
-counts messages per (phase, kind, transport) as they are sent. It keeps a
-p2p announcement as one entry for all its recipients, and the requests, or
-the replies, of one phase and round as one batch of ``(kind, sender,
-receiver)`` items. The per-message records are built only when
+rest from the same table only when that one answers NACK.
+
+The message log is a list of ``Batch``es in send order: one per
+announcement round, one for the requests and one for the replies of each
+phase and round, and, logged last, the edge-server offer and its requests
+and ACKs. Messages are counted per (phase, kind, transport) as they are
+sent. The per-message records are built only when
 ``EpisodeOutcome.messages`` reads the log, and ``write_log`` formats their
 lines without building them.
 """
@@ -38,10 +40,9 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -145,11 +146,6 @@ class LocalView:
     offset: int = 0
 
 
-def _view(inst: Instance, n: int) -> LocalView:
-    return LocalView(n, inst.lii_of(n), inst.lxi[inst._idx(n)],
-                     inst.node_ids.start)
-
-
 @dataclass(slots=True)
 class NodeState:
     id: int
@@ -165,9 +161,10 @@ class NodeState:
 
 def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
     """Best candidate by combined score, refusing anyone scored zero."""
-    view = _view(inst, m)
+    off = inst.node_ids.start
+    view = LocalView(m, inst.lii_of(m), inst.lxi[inst._idx(m)], off)
     return _best_candidate(view, _announcer_table(
-        [(-inst.lii_of(n), n) for n in candidates], view.offset))
+        [(-inst.lii_of(n), n) for n in candidates], off))
 
 
 def _announcer_table(announcers: Iterable, offset: int) -> list:
@@ -307,85 +304,88 @@ def close_phase1(state: NodeState) -> None:
         state.role = LEADER_WITH_FOLLOWERS if state.followers else ISOLATED_LEADER
 
 
-class RoundBatch(NamedTuple):
-    """The p2p requests, or the replies, of one phase and round, in send
-    order, as ``(kind, sender, receiver)`` items."""
+class Batch(NamedTuple):
+    """Messages of one phase, round and transport, in send order.
+
+    Each ``(kind, sender, receiver, lii)`` item is one message. When
+    ``group`` is set (a sorted id sequence), an item's receiver is unused:
+    the item is one message to every member of ``group`` but its sender.
+    """
     phase: int
     round: int
+    transport: str
     items: list
+    group: Optional[Sequence] = None
 
 
 @dataclass
 class MessageLog:
-    """The messages of one protocol run, in send order.
+    """The messages of one episode as batches, in send order.
 
-    ``tally`` counts them per (phase, kind, transport) as they are sent. A
-    p2p announcement is one ``(template, recipients)`` entry: the template
-    has no receiver, and it stands for one message to every recipient but
-    its sender. Requests and replies are logged a round at a time as a
-    ``RoundBatch``. Those messages are built only when the log is read.
+    ``tally`` counts them per (phase, kind, transport) as they are sent.
+    The messages themselves are built only when the log is read.
     """
-    entries: list = field(default_factory=list)
+    batches: list = field(default_factory=list)
     tally: dict = field(default_factory=dict)
 
-    def add(self, msg: Message) -> None:
-        self.entries.append(msg)
-        self._count(msg.phase, msg.kind, msg.transport, 1)
-
-    def add_fanout(self, template: Message, recipients: tuple) -> None:
-        """Log ``template`` once to each of the sorted ``recipients`` but
-        its sender."""
-        i = bisect_left(recipients, template.sender)
-        k = len(recipients) - (recipients[i:i + 1] == (template.sender,))
-        if k:
-            self.entries.append((template, recipients))
-            self._count(template.phase, template.kind, template.transport, k)
-
-    def add_batch(self, phase: int, rnd: int, items: list) -> None:
-        """Log the p2p ``(kind, sender, receiver)`` items sent in ``rnd``."""
+    def add(self, phase: int, rnd: int, transport: str, items: list,
+            group: Optional[Sequence] = None) -> None:
+        """Log ``items`` as one ``Batch``. An item whose group holds no
+        member but its sender sends nothing and is dropped."""
+        if not items:
+            return
+        if group is None:
+            kinds = list(map(itemgetter(0), items))
+            counts = {kind: kinds.count(kind) for kind in dict.fromkeys(kinds)}
+        else:
+            members = set(group)
+            size = len(group)
+            counts = {}
+            kept = []
+            for item in items:
+                k = size - (item[1] in members)
+                if k:
+                    kept.append(item)
+                    counts[item[0]] = counts.get(item[0], 0) + k
+            items = kept
         if items:
-            self.entries.append(RoundBatch(phase, rnd, items))
-            for kind, k in Counter(map(itemgetter(0), items)).items():
-                self._count(phase, kind, P2P, k)
-
-    def _count(self, phase: int, kind: str, transport: str, k: int) -> None:
-        key = (phase, kind, transport)
-        self.tally[key] = self.tally.get(key, 0) + k
+            self.batches.append(Batch(phase, rnd, transport, items, group))
+        for kind, k in counts.items():
+            key = (phase, kind, transport)
+            self.tally[key] = self.tally.get(key, 0) + k
 
     def __len__(self) -> int:
         return sum(self.tally.values())
 
     def __iter__(self):
-        for entry in self.entries:
-            if entry.__class__ is Message:
-                yield entry
-            elif entry.__class__ is RoundBatch:
-                phase, rnd, items = entry
-                for kind, sender, receiver in items:
-                    yield Message(kind, sender, receiver, phase, rnd, P2P)
+        for phase, rnd, transport, items, group in self.batches:
+            if group is None:
+                for kind, sender, receiver, lii in items:
+                    yield Message(kind, sender, receiver, phase, rnd,
+                                  transport, lii)
             else:
-                t, recipients = entry
-                for r in recipients:
-                    if r != t.sender:
-                        yield Message(t.kind, t.sender, r, t.phase, t.round,
-                                      t.transport, t.lii)
+                for kind, sender, _, lii in items:
+                    for r in group:
+                        if r != sender:
+                            yield Message(kind, sender, r, phase, rnd,
+                                          transport, lii)
 
 
 _LOG_LINE = ('{"kind": %s, %s"phase": %s, "receiver": %s, "round": %s, '
              '"sender": %s, "transport": %s}\n')
 
 
-def _json_lines(entries: Iterable):
-    """The log lines of ``entries``: messages and ``MessageLog`` fan-outs
-    and batches.
+def _json_lines(batches: Iterable):
+    """The log lines of the ``MessageLog`` batches ``batches``.
 
     Each message's line is ``json.dumps(msg.to_json_dict(), sort_keys=True)``
     and a newline, byte for byte, formatted from one template. Ints and None
-    skip the encoder, and each string is encoded once. A fan-out is
-    formatted once, split around its receiver, and yields the lines of all
-    its recipients as one string. A batch formats one line per kind with its
-    phase, round and transport filled in, and fills in only the receiver
-    and the sender per item; its node ids are ints.
+    skip the encoder, and each string is encoded once. A batch formats one
+    line per kind with its phase, round and transport filled in, and fills
+    in only the receiver and sender of an item without lii (a request or a
+    reply, so both are int ids). An item with lii is formatted on its own.
+    An item sent to a group is formatted once, split around its receiver,
+    and yields the lines of all its recipients as one string.
     """
     strings: dict = {}
 
@@ -401,27 +401,34 @@ def _json_lines(entries: Iterable):
             return text
         return json.dumps(v, sort_keys=True)
 
-    def line(m: Message, receiver: str) -> str:
-        lii = "" if m.lii is None else '"lii": ' + enc(m.lii) + ", "
-        return _LOG_LINE % (enc(m.kind), lii, enc(m.phase), receiver,
-                            enc(m.round), enc(m.sender), enc(m.transport))
+    def line(kind: str, lii, phase: int, rnd: int, transport: str,
+             receiver: str, sender: str) -> str:
+        lii = "" if lii is None else '"lii": ' + enc(lii) + ", "
+        return _LOG_LINE % (enc(kind), lii, enc(phase), receiver, enc(rnd),
+                            sender, enc(transport))
 
-    for entry in entries:
-        if entry.__class__ is Message:
-            yield line(entry, enc(entry.receiver))
-        elif entry.__class__ is RoundBatch:
-            phase, rnd, items = entry
-            lines = {kind: _LOG_LINE % (enc(kind), "", enc(phase), "%d",
-                                        enc(rnd), "%d", enc(P2P))
-                     for kind in (FOLLOW_REQUEST, ACK, NACK)}
-            yield "".join([lines[kind] % (receiver, sender)
-                           for kind, sender, receiver in items])
+    for phase, rnd, transport, items, group in batches:
+        if group is None:
+            # kinds and transports hold no "%"
+            lines = {kind: line(kind, None, phase, rnd, transport, "%d", "%d")
+                     for kind in set(map(itemgetter(0), items))}
+            yield "".join([
+                lines[kind] % (receiver, sender)
+                if lii is None else
+                line(kind, lii, phase, rnd, transport, enc(receiver),
+                     enc(sender))
+                for kind, sender, receiver, lii in items])
         else:
-            t, recipients = entry
-            # the encoder escapes control characters, so NUL marks the split
-            head, tail = line(t, "\0").split("\0")
-            yield head + (tail + head).join(
-                [enc(r) for r in recipients if r != t.sender]) + tail
+            texts = [enc(r) for r in group]
+            at = {r: i for i, r in enumerate(group)}
+            for kind, sender, _, lii in items:
+                # the encoder escapes control characters, so NUL marks the
+                # receiver
+                head, tail = line(kind, lii, phase, rnd, transport, "\0",
+                                  enc(sender)).split("\0")
+                i = at.get(sender)
+                rest = texts if i is None else texts[:i] + texts[i + 1:]
+                yield head + (tail + head).join(rest) + tail
 
 
 @dataclass
@@ -448,17 +455,11 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     def announce(kind: str, phase: int, group: tuple, role: str) -> list:
         # Each member of group in role reaches every other member. The
         # round's announcer table is returned for all to share.
-        pairs = []
-        for n in group:
-            if states[n].role == role:
-                lii = views[n].lii
-                msg = Message(kind, n, None, phase, rnd, cfg.transport, lii)
-                if cfg.transport == BROADCAST:
-                    log.add(msg)
-                else:
-                    log.add_fanout(msg, group)
-                pairs.append((-lii, n))
-        return _announcer_table(pairs, off)
+        items = [(kind, n, None, views[n].lii) for n in group
+                 if states[n].role == role]
+        log.add(phase, rnd, cfg.transport, items,
+                None if cfg.transport == BROADCAST else group)
+        return _announcer_table([(-lii, n) for _, n, _, lii in items], off)
 
     def request(role: str, announcers: list, phase: int, at: int) -> list:
         # every node in role requests its best announcer in round at; the
@@ -469,7 +470,8 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                 target = request_best(states[n], views[n], announcers)
                 if target is not None:
                     pending.append((n, target))
-        log.add_batch(phase, at, [(FOLLOW_REQUEST, m, n) for m, n in pending])
+        log.add(phase, at, P2P, [(FOLLOW_REQUEST, m, n, None)
+                                 for m, n in pending])
         return pending
 
     def deliver(pending: list, phase: int) -> None:
@@ -488,13 +490,13 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
             retries = []
             for m, n in pending:
                 kind = serve_request(states[n], m)
-                replies.append((kind, n, m))
+                replies.append((kind, n, m, None))
                 retry = take_reply(states[m], kind, n, views[m])
                 if retry is not None:
-                    retries.append((FOLLOW_REQUEST, m, retry))
-            log.add_batch(phase, rnd, replies)
-            log.add_batch(phase, rnd, retries)
-            pending = [(m, n) for _, m, n in retries]
+                    retries.append((FOLLOW_REQUEST, m, retry, None))
+            log.add(phase, rnd, P2P, replies)
+            log.add(phase, rnd, P2P, retries)
+            pending = [(m, n) for _, m, n, _ in retries]
 
     # Phase 1: announcements in round 0, then requests and NACK retries
     for n in ids:
@@ -525,8 +527,8 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
 class EpisodeOutcome:
     assignment: Assignment
     utility: object
-    log: MessageLog                  # phase 1 and 2 traffic
-    fallback_messages: tuple         # the edge-server exchange, sent last
+    log: MessageLog         # every message, the edge-server exchange last
+    protocol_messages: int  # phase 1 + 2 traffic, before that exchange
     scenario: Optional[str]
     rounds: int
     leader_set_phase1: frozenset
@@ -544,30 +546,20 @@ class EpisodeOutcome:
     @property
     def message_counts(self) -> dict:
         """Messages per (phase, kind, transport), fallback exchange included."""
-        table = dict(self.log.tally)
-        for m in self.fallback_messages:
-            key = (m.phase, m.kind, m.transport)
-            table[key] = table.get(key, 0) + 1
-        return table
+        return dict(self.log.tally)
 
     @property
     def total_messages(self) -> int:
-        return self.protocol_messages + len(self.fallback_messages)
-
-    @property
-    def protocol_messages(self) -> int:
-        """Phase 1 + 2 traffic, excluding the edge-server fallback exchange."""
         return len(self.log)
 
     @cached_property
     def messages(self) -> tuple:
         """Every message in send order, built from the log on first use."""
-        return tuple(self.log) + self.fallback_messages
+        return tuple(self.log)
 
     def write_log(self, path) -> None:
         with open(path, "w") as fh:
-            fh.writelines(_json_lines(chain(self.log.entries,
-                                            self.fallback_messages)))
+            fh.writelines(_json_lines(self.log.batches))
 
     def to_json_dict(self) -> dict:
         d = self.assignment.to_json_dict()
@@ -589,7 +581,7 @@ class FallbackResult:
     instance: Instance          # possibly boosted / extended with node 0
     sim: Optional[SimulationResult]  # rerun after a successful incentive
     extra_follows: dict
-    messages: list
+    log: MessageLog             # the edge-server exchange
 
 
 def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
@@ -604,7 +596,7 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
     """
     effective = inst
     sim = None
-    messages: list = []
+    log = MessageLog()
 
     if nobody_willing(inst) and cfg.incentive_policy is not None:
         pol = cfg.incentive_policy
@@ -626,17 +618,17 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
         if not effective.has_edge_server:
             effective = attach_edge_server(
                 effective, DEFAULT_EDGE_LII, [DEFAULT_EDGE_LXI] * effective.n)
-        offer = Message(ANNOUNCE, EDGE_SERVER_ID, None, 2, 0, cfg.transport,
-                        lii=effective.lii_of(EDGE_SERVER_ID))
-        messages.append(offer)
+        log.add(2, 0, cfg.transport, [(ANNOUNCE, EDGE_SERVER_ID, None,
+                                       effective.lii_of(EDGE_SERVER_ID))])
+        pairs = []
         for m in sorted(unresolved):
             if effective.lxi_of(m, EDGE_SERVER_ID) > 0:
                 extra_follows[m] = EDGE_SERVER_ID
-                messages.append(Message(FOLLOW_REQUEST, m, EDGE_SERVER_ID,
-                                        2, 0, P2P))
-                messages.append(Message(ACK, EDGE_SERVER_ID, m, 2, 0, P2P))
+                pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
+                          (ACK, EDGE_SERVER_ID, m, None)]
+        log.add(2, 0, P2P, pairs)
 
-    return FallbackResult(effective, sim, extra_follows, messages)
+    return FallbackResult(effective, sim, extra_follows, log)
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
@@ -664,9 +656,13 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
         sim = simulate_protocol(inst, cfg, rng)
 
     fb = (run_fallback_process(inst, cfg, sim.unresolved, rng)
-          if sim.unresolved else FallbackResult(inst, None, {}, []))
+          if sim.unresolved else FallbackResult(inst, None, {}, MessageLog()))
     if fb.sim is not None:  # incentive succeeded; protocol was rerun
         sim = fb.sim
+    log = sim.log
+    protocol_messages = len(log)
+    for batch in fb.log.batches:  # the edge-server exchange, sent last
+        log.add(*batch)
     leaders = set(sim.leaders) | set(fb.extra_follows.values())
     follows = {**sim.follows, **fb.extra_follows}
     isolated = set(fb.instance.node_ids) - leaders - set(follows)
@@ -674,8 +670,8 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     return EpisodeOutcome(
         assignment=assignment,
         utility=assignment_utility(fb.instance, assignment),
-        log=sim.log,
-        fallback_messages=tuple(fb.messages),
+        log=log,
+        protocol_messages=protocol_messages,
         scenario=scenario,
         rounds=sim.rounds,
         leader_set_phase1=frozenset(sim.leader_set_phase1),

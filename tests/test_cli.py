@@ -224,6 +224,7 @@ def test_solve_rejects_unreadable_json(runner, instance_a_path, tmp_path,
     ({"4": 1}, "'4'"),
     ({"0": 1}, "'0'"),
     ({"2": 1.5}, "'2'"),
+    ({"1": 0, "01": 5}, "'01'"),
 ])
 def test_caps_reject_bad_ids_and_limits(runner, instance_a_path, tmp_path,
                                         caps, key):

@@ -37,13 +37,13 @@ from leadsel.protocol import (
     FOLLOWER,
     NACK,
     P2P,
+    PHASE2_ANNOUNCE,
     SCENARIO_1,
     SCENARIO_2,
     SCENARIO_3,
     LocalView,
     Message,
     NodeState,
-    RoundBatch,
     _announcer_table,
     _best_candidate,
     _rank_candidates,
@@ -227,7 +227,7 @@ def test_episode_messages_per_phase(instance_a):
     per = {1: 0, 2: 0}
     for (phase, _, _), k in outcome.message_counts.items():
         per[phase] += k
-    assert not outcome.fallback_messages
+    assert outcome.total_messages - outcome.protocol_messages == 0
     assert per[1] + per[2] == outcome.protocol_messages
     assert per[2] > 0  # UE 3 converts in phase 2
 
@@ -353,10 +353,9 @@ def test_fallback_message_accounting():
     cfg = ProtocolConfig(rho=0, edge_server_policy=True)
     fb = run_fallback_process(inst, cfg, {1, 2, 3}, random.Random(0))
     # one offer plus request/ack per accepting UE
-    assert len(fb.messages) == 1 + 2 * len(fb.extra_follows)
+    assert len(fb.log) == 1 + 2 * len(fb.extra_follows)
     outcome = run_episode(inst, cfg, seed=0)
-    assert outcome.total_messages == \
-        outcome.protocol_messages + len(outcome.fallback_messages)
+    assert outcome.total_messages - outcome.protocol_messages == len(fb.log)
 
 
 def test_centralized_reference_count():
@@ -576,8 +575,17 @@ def episodes(draw):
 _ZERO_LII = Instance(3, (0, 0, 0), ((0, 5, 5), (5, 0, 5), (5, 5, 0)))
 
 
+# the only phase-1 candidate leads, so under p2p its phase-2 announcement
+# has no receiver but itself
+_LONE_ANNOUNCER = Instance(3, (9, 0, 0), ((0, 1, 1), (5, 0, 0), (5, 0, 0)))
+# lii 5 and 5.0 are equal and hash alike, but print differently
+_INT_AND_FLOAT_LII = Instance(3, (5, 5.0, 0),
+                              ((0, 1, 1), (1, 0, 1), (2, 3, 0)))
+
+
 @pytest.mark.parametrize("feature", [
-    "broadcast", "fan-out", "nack", "edge-offer", "float-lii"])
+    "broadcast", "fan-out", "nack", "edge-offer", "float-lii",
+    "lone-announcer", "int-and-float-lii"])
 def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
     inst, cfg = {
         "broadcast": (instance_a, ProtocolConfig(rho=4)),
@@ -587,33 +595,39 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
         "edge-offer": (_ZERO_LII, ProtocolConfig(edge_server_policy=True)),
         "float-lii": (_ZERO_LII, ProtocolConfig(
             incentive_policy=IncentivePolicy(0.5, 1.0))),
+        "lone-announcer": (_LONE_ANNOUNCER, ProtocolConfig(transport=P2P)),
+        "int-and-float-lii": (_INT_AND_FLOAT_LII, ProtocolConfig(rho=4)),
     }[feature]
     outcome = run_episode(inst, cfg, seed=1)
-    messages = outcome.messages
+    batches = outcome.log.batches
+    items = [(b, item) for b in batches for item in b.items]
     assert {
-        "broadcast": any(m.transport == BROADCAST and m.receiver is None
-                         for m in messages),
-        "fan-out": any(e.__class__ is tuple for e in outcome.log.entries),
-        "nack": any(m.kind == NACK for m in messages),
-        "edge-offer": any(m.sender == 0 and m.receiver is None
-                          for m in outcome.fallback_messages),
-        "float-lii": any(isinstance(m.lii, float) for m in messages),
+        "broadcast": any(b.transport == BROADCAST and b.group is None
+                         and lii is not None for b, (_, _, _, lii) in items),
+        "fan-out": any(b.group is not None for b in batches),
+        "nack": any(kind == NACK for _, (kind, _, _, _) in items),
+        "edge-offer": any(sender == 0 and receiver is None
+                          for _, (_, sender, receiver, _) in items),
+        "float-lii": any(isinstance(lii, float)
+                         for _, (_, _, _, lii) in items),
+        "lone-announcer": outcome.leader_set_phase1 == {1}
+        and outcome.assignment.leaders == {1},
+        "int-and-float-lii": [(lii, lii.__class__) for b, (_, _, _, lii)
+                              in items if b.round == 0]
+        == [(5, int), (5.0, float)],
     }[feature]
-    # the messages a log entry stands for, built one by one
+    # the messages a batch stands for, built one by one
     reference = []
-    for e in outcome.log.entries:
-        if e.__class__ is Message:
-            reference.append(e)
-            continue
-        if e.__class__ is RoundBatch:
-            reference += [Message(kind, sender, receiver, e.phase, e.round, P2P)
-                          for kind, sender, receiver in e.items]
-            continue
-        t, recipients = e
-        reference += [Message(t.kind, t.sender, r, t.phase, t.round,
-                              t.transport, t.lii)
-                      for r in recipients if r != t.sender]
-    assert messages == tuple(reference) + outcome.fallback_messages
+    for b, (kind, sender, receiver, lii) in items:
+        receivers = ([receiver] if b.group is None
+                     else [r for r in b.group if r != sender])
+        reference += [Message(kind, sender, r, b.phase, b.round, b.transport,
+                              lii) for r in receivers]
+    messages = outcome.messages
+    assert messages == tuple(reference)
+    if feature == "lone-announcer":
+        assert (2, PHASE2_ANNOUNCE, P2P) not in outcome.message_counts
+        assert not any(m.kind == PHASE2_ANNOUNCE for m in messages)
     path = tmp_path / "log.jsonl"
     outcome.write_log(path)
     assert path.read_bytes() == "".join(

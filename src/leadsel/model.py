@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, Mapping, Optional, Sequence
 
 SCORE_MIN = 0
@@ -234,19 +235,22 @@ def generate_instance(n: int, seed: int,
 # randint(0, 10) is the top 4 bits of one 32-bit Mersenne Twister output,
 # drawn again while above 10 (Random._randbelow). getrandbits(32 * k) returns
 # k such outputs, the first in the lowest bits, so the same scores can be
-# read off in bulk: the top byte of each little-endian word, shifted.
+# read off in bulk: the top byte of each little-endian word, shifted. The
+# words are drawn in bounded chunks, which keeps the transient integer and
+# its byte copies small; the stream is the same however it is split.
 _TOP_NIBBLE = bytes(b >> 4 for b in range(256))
 _REJECTED = bytes(range((SCORE_MAX + 1) << 4, 256))
+_CHUNK_WORDS = 1 << 16
 
 
 def _uniform_scores(rng: random.Random, count: int) -> bytes:
     """The next ``count`` values of ``rng.randint(0, 10)``, in order."""
-    out = b""
+    out = bytearray()
     while len(out) < count:
-        words = (count - len(out)) * 16 // 11 + 64
+        words = min((count - len(out)) * 16 // 11 + 64, _CHUNK_WORDS)
         raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
         out += raw[3::4].translate(_TOP_NIBBLE, _REJECTED)
-    return out[:count]
+    return bytes(out[:count])
 
 
 def attach_edge_server(inst: Instance, lii0,
@@ -313,9 +317,10 @@ class Assignment:
 
 def utility(inst: Instance, a: Assignment):
     """Sum of leader willingness plus follower->leader preference scores."""
-    a.validate_structure(inst)
-    total = sum(inst.lii_of(n) for n in a.leaders)
-    total += sum(inst.lxi_of(m, n) for m, n in a.follows.items())
+    a.validate_structure(inst)  # every id indexes a stored row from here
+    off, lii, lxi = inst.node_ids.start, inst.lii, inst.lxi
+    total = sum(lii[n - off] for n in a.leaders)
+    total += sum(lxi[m - off][n - off] for m, n in a.follows.items())
     return total
 
 
@@ -323,10 +328,16 @@ def leader_candidates(inst: Instance, rho,
                       ids: Optional[Iterable[int]] = None) -> list:
     """The ids that may lead at ``rho`` (C3: lii > rho), in the order given.
 
-    ``ids`` defaults to every node, the edge server included.
+    ``ids`` defaults to every node, the edge server included. An id outside
+    the instance raises ``ModelError``.
     """
-    return [n for n in (inst.node_ids if ids is None else ids)
-            if inst.lii_of(n) > rho]
+    nodes = inst.node_ids
+    ids = nodes if ids is None else tuple(ids)
+    bad = next(filterfalse(nodes.__contains__, ids), None)
+    if bad is not None:
+        raise ModelError(f"node id {bad} outside instance")
+    off, lii = nodes.start, inst.lii
+    return [n for n in ids if lii[n - off] > rho]
 
 
 def check_caps(caps: Mapping, name=repr) -> None:
@@ -344,7 +355,7 @@ def check_caps(caps: Mapping, name=repr) -> None:
 
 def nobody_willing(inst: Instance) -> bool:
     """Case 1 (Scenario 3 of the protocol): no regular UE has lii > 0."""
-    return not any(inst.lii_of(n) > 0 for n in inst.ue_ids)
+    return max(inst.lii[1 - inst.node_ids.start:]) <= 0
 
 
 def li_score(inst: Instance, m: int, n: int):

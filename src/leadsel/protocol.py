@@ -6,10 +6,13 @@ Phase 2: announcers that attracted nobody convert to followers and pick
 among the leaders that did. A capacity-limited variant answers requests
 with ACK/NACK and followers retry down their candidate list.
 
-A device has five steps, each seeing only its own ``LocalView``: take a
-phase-1 role, request the best announcer, serve one request as a leader
-(ACK or NACK), take one reply as a requester (and pick the retry after a
-NACK), and close phase 1. The simulator calls them directly in synchronous
+A device is one ``NodeState``: its id, its own scores (lii and its stored
+lxi row) and its protocol state. It has five steps, each seeing only
+itself: take a phase-1 role, request the best announcer, serve one request
+as a leader (ACK or NACK), take one reply as a requester (and pick the
+retry after a NACK), and close phase 1. The simulator builds each device
+and takes its role in one pass, keeps the candidate and follower ids in
+ascending order, and calls the other steps on those lists in synchronous
 rounds; the timer separating the phases is a round barrier, so every
 request and reply of a phase is delivered before phase 1 closes. A
 delivery round is one pass over the round's ``(sender, target)`` request
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -134,37 +136,35 @@ class ProtocolConfig:
 
 
 @dataclass(slots=True)
-class LocalView:
-    """What a single device knows a priori: its own scores only.
+class NodeState:
+    """One device: what it knows a priori, its own scores only, and its
+    protocol state.
 
     ``lxi_row[n - offset]`` is the device's willingness to follow peer n;
-    the simulator passes the instance's stored row, read in place.
+    the simulator passes the instance's stored row, read in place. A device
+    holds a ``followers`` set only once it is a candidate leader.
     """
     id: int
     lii: object
     lxi_row: Sequence
     offset: int = 0
-
-
-@dataclass(slots=True)
-class NodeState:
-    id: int
     role: str = FOLLOWER
     # the announcer table of the node's first request
     announcers: Optional[list] = None
     # ids still to try, best last; None until the first NACK ranks them
     leader_candidates: Optional[list] = None
-    followers: set = field(default_factory=set)
+    followers: Optional[set] = None
     capacity_remaining: Optional[int] = None
     leader: Optional[int] = None
 
 
 def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
-    """Best candidate by combined score, refusing anyone scored zero."""
+    """Best candidate for ``m`` by combined score, refusing anyone scored
+    zero. ``m`` itself is never chosen."""
     off = inst.node_ids.start
-    view = LocalView(m, inst.lii_of(m), inst.lxi[inst._idx(m)], off)
-    return _best_candidate(view, _announcer_table(
-        [(-inst.lii_of(n), n) for n in candidates], off))
+    device = NodeState(m, inst.lii_of(m), inst.lxi[m - off], off)
+    return _best_candidate(device, _announcer_table(
+        [(-inst.lii_of(n), n) for n in candidates if n != m], off))
 
 
 def _announcer_table(announcers: Iterable, offset: int) -> list:
@@ -172,12 +172,10 @@ def _announcer_table(announcers: Iterable, offset: int) -> list:
 
     Each run is ``(-lii, ids, read)``, best lii first, with ``ids``
     ascending and ``read`` an ``itemgetter`` that reads their scores from a
-    row indexed at ``id - offset`` in one call. Ids below ``offset``, which
-    would index the row from its end, are left out.
+    row indexed at ``id - offset`` in one call.
     """
     runs = []
-    for neg, run in groupby(sorted(p for p in announcers if p[1] >= offset),
-                            itemgetter(0)):
+    for neg, run in groupby(sorted(announcers), itemgetter(0)):
         ids = tuple(n for _, n in run)
         rows = [n - offset for n in ids]
         # a getter of one index returns a bare value, so a run of one reads
@@ -187,34 +185,22 @@ def _announcer_table(announcers: Iterable, offset: int) -> list:
     return runs
 
 
-def _scores(run: tuple, view: LocalView) -> tuple:
-    """The ids of ``run`` other than the device and the device's scores
-    for them, in the same order. The run is read at the view's offset."""
-    _, ids, read = run
-    k = bisect_left(ids, view.id)
-    if k < len(ids) and ids[k] == view.id:
-        ids = ids[:k] + ids[k + 1:]
-        return ids, [view.lxi_row[n - view.offset] for n in ids]
-    return ids, read(view.lxi_row)
-
-
-def _rank_candidates(view: LocalView, table: list) -> list:
+def _rank_candidates(device: NodeState, table: list) -> list:
     """Candidate ids by descending ``lii + lxi``, lowest id first on ties.
 
-    ``table`` comes from ``_announcer_table`` at the view's offset. The
-    device itself and candidates it scores zero are left out.
+    ``table`` comes from ``_announcer_table`` at the device's offset and
+    does not hold the device. Candidates it scores zero are left out.
     """
+    row = device.lxi_row
     scored = []
-    for run in table:
-        neg = run[0]
-        ids, scores = _scores(run, view)
-        scored += [(neg - lxi, n) for n, lxi in zip(ids, scores) if lxi > 0]
+    for neg, ids, read in table:
+        scored += [(neg - lxi, n) for n, lxi in zip(ids, read(row)) if lxi > 0]
     scored.sort()
     return [n for _, n in scored]
 
 
-def _best_candidate(view: LocalView, table: list) -> Optional[int]:
-    """The first id of ``_rank_candidates(view, table)``, or None.
+def _best_candidate(device: NodeState, table: list) -> Optional[int]:
+    """The first id of ``_rank_candidates(device, table)``, or None.
 
     No lxi exceeds SCORE_MAX, so the scan stops at the first run whose lii
     can no longer reach the best total found. A run tying that total is
@@ -222,12 +208,12 @@ def _best_candidate(view: LocalView, table: list) -> Optional[int]:
     the scan at its first such score: no score beats it, and no later run
     reaches its total.
     """
+    row = device.lxi_row
     best = best_key = None
-    for run in table:
-        neg = run[0]
+    for neg, ids, read in table:
         if best is not None and neg - SCORE_MAX > best_key:
             break
-        ids, scores = _scores(run, view)
+        scores = read(row)
         if SCORE_MAX in scores:
             n = ids[scores.index(SCORE_MAX)]
             if best is None or neg - SCORE_MAX < best_key:
@@ -243,20 +229,20 @@ def _best_candidate(view: LocalView, table: list) -> Optional[int]:
     return best
 
 
-def take_role(state: NodeState, view: LocalView, cfg: ProtocolConfig) -> None:
+def take_role(state: NodeState, cfg: ProtocolConfig) -> None:
     """Phase 1 opens: the device becomes a candidate leader iff its lii
     clears the threshold."""
-    if view.lii > cfg.rho:
+    if state.lii > cfg.rho:
         state.role = CANDIDATE_LEADER
+        state.followers = set()
         if cfg.caps is not None:
-            state.capacity_remaining = cfg.caps.get(view.id)
+            state.capacity_remaining = cfg.caps.get(state.id)
 
 
-def request_best(state: NodeState, view: LocalView,
-                 announcers: list) -> Optional[int]:
+def request_best(state: NodeState, announcers: list) -> Optional[int]:
     """The id of the best in the announcer table, or None when the device
     scores every announcer zero."""
-    target = _best_candidate(view, announcers)
+    target = _best_candidate(state, announcers)
     if target is not None:
         state.announcers = announcers  # the rest are ranked on the first NACK
     return target
@@ -276,8 +262,7 @@ def serve_request(state: NodeState, sender: int) -> str:
     return ACK
 
 
-def take_reply(state: NodeState, kind: str, leader: int,
-               view: LocalView) -> Optional[int]:
+def take_reply(state: NodeState, kind: str, leader: int) -> Optional[int]:
     """A requester takes the ACK or NACK ``leader`` sent it.
 
     Returns the id to request next after a NACK, or None.
@@ -292,7 +277,7 @@ def take_reply(state: NodeState, kind: str, leader: int,
         return None
     if state.leader_candidates is None:
         # the best candidate, just refused, heads the full ranking
-        state.leader_candidates = _rank_candidates(view, state.announcers)[:0:-1]
+        state.leader_candidates = _rank_candidates(state, state.announcers)[:0:-1]
     if not state.leader_candidates:
         return None
     return state.leader_candidates.pop()
@@ -446,30 +431,26 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     """Run both phases over all regular UEs; the edge server never takes part."""
     ids = inst.ue_ids
     off = inst.node_ids.start
-    views = {n: LocalView(n, inst.lii[n - off], inst.lxi[n - off], off)
-             for n in ids}
-    states = {n: NodeState(id=n) for n in ids}
     log = MessageLog()
     rnd = 0
 
-    def announce(kind: str, phase: int, group: tuple, role: str) -> list:
-        # Each member of group in role reaches every other member. The
-        # round's announcer table is returned for all to share.
-        items = [(kind, n, None, views[n].lii) for n in group
-                 if states[n].role == role]
+    def announce(kind: str, phase: int, group: tuple, members: list) -> list:
+        # Each of members reaches every other member of group. The round's
+        # announcer table is returned for all to share.
+        items = [(kind, n, None, states[n].lii) for n in members]
         log.add(phase, rnd, cfg.transport, items,
                 None if cfg.transport == BROADCAST else group)
         return _announcer_table([(-lii, n) for _, n, _, lii in items], off)
 
-    def request(role: str, announcers: list, phase: int, at: int) -> list:
-        # every node in role requests its best announcer in round at; the
+    def request(requesters: list, announcers: list, phase: int,
+                at: int) -> list:
+        # each of requesters requests its best announcer in round at; the
         # (sender, target) pairs are returned
         pending = []
-        for n in ids:
-            if states[n].role == role:
-                target = request_best(states[n], views[n], announcers)
-                if target is not None:
-                    pending.append((n, target))
+        for n in requesters:
+            target = request_best(states[n], announcers)
+            if target is not None:
+                pending.append((n, target))
         log.add(phase, at, P2P, [(FOLLOW_REQUEST, m, n, None)
                                  for m, n in pending])
         return pending
@@ -491,36 +472,42 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
             for m, n in pending:
                 kind = serve_request(states[n], m)
                 replies.append((kind, n, m, None))
-                retry = take_reply(states[m], kind, n, views[m])
+                retry = take_reply(states[m], kind, n)
                 if retry is not None:
                     retries.append((FOLLOW_REQUEST, m, retry, None))
             log.add(phase, rnd, P2P, replies)
             log.add(phase, rnd, P2P, retries)
             pending = [(m, n) for _, m, n, _ in retries]
 
-    # Phase 1: announcements in round 0, then requests and NACK retries
-    for n in ids:
-        take_role(states[n], views[n], cfg)
-    leader_set_phase1 = {n for n in ids if states[n].role == CANDIDATE_LEADER}
-    table = announce(ANNOUNCE, 1, tuple(ids), CANDIDATE_LEADER)
-    deliver(request(FOLLOWER, table, 1, rnd + 1), 1)
-    for n in leader_set_phase1:
+    # Phase 1: every device takes its role, announcements go out in round
+    # 0, then requests and NACK retries
+    states = {}
+    candidates, followers = [], []  # ascending, as are the lists below
+    for n, lii, row in zip(ids, inst.lii[1 - off:], inst.lxi[1 - off:]):
+        state = states[n] = NodeState(n, lii, row, off)
+        take_role(state, cfg)
+        (candidates if state.role == CANDIDATE_LEADER else followers).append(n)
+    table = announce(ANNOUNCE, 1, tuple(ids), candidates)
+    deliver(request(followers, table, 1, rnd + 1), 1)
+    leading, isolated = [], []
+    for n in candidates:
         close_phase1(states[n])
+        (leading if states[n].role == LEADER_WITH_FOLLOWERS
+         else isolated).append(n)
 
     # Phase 2: re-announcements go to the phase-1 candidate set, and the
     # requests share their round
     rnd += 1
-    table = announce(PHASE2_ANNOUNCE, 2, tuple(sorted(leader_set_phase1)),
-                     LEADER_WITH_FOLLOWERS)
-    deliver(request(ISOLATED_LEADER, table, 2, rnd), 2)
+    table = announce(PHASE2_ANNOUNCE, 2, tuple(candidates), leading)
+    deliver(request(isolated, table, 2, rnd), 2)
 
-    leaders = {n for n in ids
-               if states[n].role == LEADER_WITH_FOLLOWERS and states[n].followers}
-    follows = {n: states[n].leader for n in ids
-               if states[n].role == ASSIGNED_FOLLOWER}
-    unresolved = {n for n in ids if n not in leaders and n not in follows}
-    return SimulationResult(leaders, follows, unresolved, log, rnd,
-                            leader_set_phase1)
+    # phase 2 leaves the leaders as phase 1 closed them
+    leaders = set(leading)
+    follows = {n: state.leader for n, state in states.items()
+               if state.role == ASSIGNED_FOLLOWER}
+    return SimulationResult(leaders, follows,
+                            set(ids).difference(leaders, follows), log, rnd,
+                            set(candidates))
 
 
 @dataclass(frozen=True)
@@ -638,7 +625,8 @@ def detect_scenario(inst: Instance, rho) -> Optional[str]:
     followers = set(inst.ue_ids).difference(leaders)
     if not followers:
         return SCENARIO_1
-    if leaders and all(inst.lxi_of(m, n) == 0
+    off = inst.node_ids.start
+    if leaders and all(inst.lxi[m - off][n - off] == 0
                        for m in followers for n in leaders):
         return SCENARIO_2
     return None

@@ -58,7 +58,8 @@ def test_generated_lii_mean_is_uniform():
     assert abs(total / count - 5.0) < 0.1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 57])
+# n = 300 draws 90,000 scores, more than one getrandbits chunk yields
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 300])
 @pytest.mark.parametrize("seed", [0, 1, -7, 2**70])
 def test_generation_draws_what_randint_draws(n, seed):
     rng = random.Random(seed)
@@ -332,6 +333,50 @@ def test_leader_candidates_worked_example(instance_a):
 def test_leader_candidates_extreme_thresholds(instance_a):
     assert leader_candidates(instance_a, 10) == []
     assert leader_candidates(instance_a, 0) == [1, 2, 3]  # no followers
+
+
+def test_leader_candidates_refuses_ids_outside_the_instance(instance_a):
+    edge = attach_edge_server(instance_a, 10, [1, 1, 1])
+    for inst, outside in ((instance_a, (0, 4)), (edge, (-1, 4))):
+        for bad in outside:
+            with pytest.raises(ModelError):
+                leader_candidates(inst, 0, [1, bad])
+    assert leader_candidates(edge, 0, [0, 1]) == [0, 1]
+
+
+_SCORES = st.one_of(st.integers(0, 10), st.sampled_from([0.5, 2.5, 9.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_reads_equal_the_by_id_formulas(data):
+    # plain instances store id n at row n - 1, edge-server ones at row n
+    n = data.draw(st.integers(1, 7))
+    lii = tuple(data.draw(st.lists(_SCORES, min_size=n, max_size=n)))
+    lxi = tuple(tuple(0 if c == r else data.draw(_SCORES) for c in range(n))
+                for r in range(n))
+    inst = Instance(n, lii, lxi)
+    if data.draw(st.booleans()):
+        inst = attach_edge_server(
+            inst, data.draw(st.sampled_from([1, 9.5, 10])),
+            data.draw(st.lists(_SCORES, min_size=n, max_size=n)))
+    nodes = list(inst.node_ids)
+    leaders = data.draw(st.sets(st.sampled_from(nodes)))
+    follows = {m: data.draw(st.sampled_from(sorted(leaders)))
+               for m in inst.ue_ids
+               if m not in leaders and leaders and data.draw(st.booleans())}
+    a = Assignment.build(leaders, follows, set(nodes) - leaders - set(follows))
+    expected = sum(inst.lii_of(k) for k in a.leaders)
+    expected += sum(inst.lxi_of(m, k) for m, k in a.follows.items())
+    assert utility(inst, a) == expected
+    rho = data.draw(st.sampled_from([0, 2.5, 5, 10]))
+    ids = data.draw(st.lists(st.sampled_from(nodes)))
+    assert leader_candidates(inst, rho, ids) == [
+        k for k in ids if inst.lii_of(k) > rho]
+    assert leader_candidates(inst, rho) == [
+        k for k in nodes if inst.lii_of(k) > rho]
+    assert nobody_willing(inst) == (
+        not any(inst.lii_of(k) > 0 for k in inst.ue_ids))
 
 
 def test_case1_on_all_zero_lii():

@@ -41,7 +41,6 @@ from leadsel.protocol import (
     SCENARIO_1,
     SCENARIO_2,
     SCENARIO_3,
-    LocalView,
     Message,
     NodeState,
     _announcer_table,
@@ -92,9 +91,8 @@ def test_choose_leader_tie_breaks_to_lower_id():
 # -- node state machine -------------------------------------------------------
 
 def test_phase_start_announces_above_threshold():
-    view = LocalView(1, 8, {2: 3})
-    state = NodeState(id=1)
-    take_role(state, view, ProtocolConfig(rho=5))
+    state = NodeState(1, 8, {2: 3})
+    take_role(state, ProtocolConfig(rho=5))
     assert state.role == CANDIDATE_LEADER
     inst = Instance(2, (8, 3), ((0, 3), (3, 0)))
     sim = simulate_protocol(inst, ProtocolConfig(rho=5), random.Random(0))
@@ -103,47 +101,48 @@ def test_phase_start_announces_above_threshold():
 
 
 def test_phase_start_stays_quiet_below_threshold():
-    view = LocalView(1, 3, {2: 3})
-    state = NodeState(id=1)
-    take_role(state, view, ProtocolConfig(rho=5))
+    state = NodeState(1, 3, {2: 3})
+    take_role(state, ProtocolConfig(rho=5))
     assert state.role == FOLLOWER
 
 
 def test_follow_request_to_non_leader_is_violation():
-    state = NodeState(id=1)  # plain follower, cannot take followers
+    state = NodeState(1, 3, {2: 3})
+    take_role(state, ProtocolConfig(rho=5))  # a follower, which never leads
     with pytest.raises(ProtocolViolation):
         serve_request(state, 2)
-    assert state.followers == set()
+    assert state.followers is None
 
 
 def test_unexpected_ack_is_violation():
     # a reply at a candidate leader, which sends no requests
-    view = LocalView(1, 8, {2: 3})
-    state = NodeState(id=1, role=CANDIDATE_LEADER)
+    state = NodeState(1, 8, {2: 3})
+    take_role(state, ProtocolConfig(rho=5))
+    assert state.role == CANDIDATE_LEADER
     for kind in (ACK, NACK):
         with pytest.raises(ProtocolViolation):
-            take_reply(state, kind, 2, view)
+            take_reply(state, kind, 2)
 
 
 def test_reply_without_a_request_is_violation():
-    view = LocalView(1, 3, {2: 3})
-    state = NodeState(id=1)  # a follower that has requested nobody
+    state = NodeState(1, 3, {2: 3})  # a follower that has requested nobody
     for kind in (ACK, NACK):
         with pytest.raises(ProtocolViolation):
-            take_reply(state, kind, 2, view)
+            take_reply(state, kind, 2)
     assert state.role == FOLLOWER and state.leader is None
 
 
 def test_announcement_to_request_handler_is_violation():
-    view = LocalView(1, 3, {2: 3})
-    state = NodeState(id=1)
-    assert request_best(state, view, _announcer_table([(-8, 2)], 0)) == 2
+    state = NodeState(1, 3, {2: 3})
+    assert request_best(state, _announcer_table([(-8, 2)], 0)) == 2
     with pytest.raises(ProtocolViolation):
-        take_reply(state, ANNOUNCE, 2, view)
+        take_reply(state, ANNOUNCE, 2)
 
 
 def test_leader_at_capacity_nacks():
-    state = NodeState(id=1, role=CANDIDATE_LEADER, capacity_remaining=1)
+    state = NodeState(1, 8, (0, 3, 3), 1)
+    take_role(state, ProtocolConfig(rho=5, caps={1: 1}))
+    assert state.capacity_remaining == 1
     assert serve_request(state, 2) == ACK
     assert serve_request(state, 3) == NACK
     assert state.followers == {2}
@@ -151,14 +150,13 @@ def test_leader_at_capacity_nacks():
 
 def test_nack_retries_down_the_ranking():
     # UE 1 ranks 2 (5 + 4) over 3 (5 + 1) over 4 (3 + 2)
-    view = LocalView(1, 0, {2: 4, 3: 1, 4: 2})
-    state = NodeState(id=1)
+    state = NodeState(1, 0, {2: 4, 3: 1, 4: 2})
     table = _announcer_table([(-5, 2), (-5, 3), (-3, 4)], 0)
-    assert request_best(state, view, table) == 2
-    assert take_reply(state, NACK, 2, view) == 3
-    assert take_reply(state, NACK, 3, view) == 4
-    assert take_reply(state, NACK, 4, view) is None
-    assert take_reply(state, ACK, 4, view) is None
+    assert request_best(state, table) == 2
+    assert take_reply(state, NACK, 2) == 3
+    assert take_reply(state, NACK, 3) == 4
+    assert take_reply(state, NACK, 4) is None
+    assert take_reply(state, ACK, 4) is None
     assert state.leader == 4
 
 
@@ -433,25 +431,32 @@ def test_episode_matches_closed_form_in_either_delivery_order(
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.data())
 def test_best_candidate_heads_the_full_ranking(inst, data):
+    # the simulator never puts a device in its own table
     m = data.draw(st.sampled_from(inst.ue_ids))
-    pool = data.draw(st.sets(st.sampled_from(inst.ue_ids)))
-    view = LocalView(m, inst.lii_of(m), inst.lxi[m - 1], 1)
-    pairs = {(-inst.lii_of(n), n) for n in pool}
-    table = _announcer_table(pairs, 1)
-    ranked = _rank_candidates(view, table)
+    pool = data.draw(st.sets(st.sampled_from(inst.ue_ids))) - {m}
+    device = NodeState(m, inst.lii_of(m), inst.lxi[m - 1], 1)
+    table = _announcer_table([(-inst.lii_of(n), n) for n in pool], 1)
+    ranked = _rank_candidates(device, table)
     assert ranked == [n for _, n in sorted(
         (-(inst.lii_of(n) + inst.lxi_of(m, n)), n) for n in pool
-        if n != m and inst.lxi_of(m, n) > 0)]
+        if inst.lxi_of(m, n) > 0)]
     head = ranked[0] if ranked else None
-    assert _best_candidate(view, table) == head
+    assert _best_candidate(device, table) == head
     assert choose_leader(inst, m, pool) == head
-    # a row keyed by peer id leaves the device out; its own id in the
-    # table is skipped, not looked up
-    by_id = LocalView(m, inst.lii_of(m), inst.lxi_row(m))
-    assert m not in by_id.lxi_row
-    table = _announcer_table(pairs | {(-inst.lii_of(m), m)}, 0)
-    assert _rank_candidates(by_id, table) == ranked
-    assert _best_candidate(by_id, table) == head
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_choose_leader_never_chooses_the_device(inst, data):
+    # choose_leader drops the device from its candidates, with or without
+    # an edge server
+    if data.draw(st.booleans()):
+        inst = attach_edge_server(inst, 10, [1] * inst.n)
+    m = data.draw(st.sampled_from(inst.ue_ids))
+    pool = data.draw(st.sets(st.sampled_from(inst.node_ids))) | {m}
+    chosen = choose_leader(inst, m, pool)
+    assert chosen != m
+    assert chosen == choose_leader(inst, m, pool - {m})
 
 
 # Scores around SCORE_MAX: float and int tens, and lii values that give
@@ -461,13 +466,14 @@ _NEAR_MAX = st.sampled_from([0, 1, 4, 9, 9.5, 10, 10.0])
 
 
 def _assert_best_heads_ranking(row, lii, m, pool):
-    view = LocalView(m, lii[m - 1], row, 1)
+    # the simulator never puts a device in its own table
+    assert m not in pool
+    device = NodeState(m, lii[m - 1], row, 1)
     table = _announcer_table([(-lii[k - 1], k) for k in pool], 1)
-    ranked = _rank_candidates(view, table)
+    ranked = _rank_candidates(device, table)
     assert ranked == [k for _, k in sorted(
-        (-(lii[k - 1] + row[k - 1]), k) for k in pool
-        if k != m and row[k - 1] > 0)]
-    best = _best_candidate(view, table)
+        (-(lii[k - 1] + row[k - 1]), k) for k in pool if row[k - 1] > 0)]
+    best = _best_candidate(device, table)
     assert best == (ranked[0] if ranked else None)
     return best
 
@@ -479,8 +485,9 @@ def test_best_candidate_stops_at_score_max(data):
     row = data.draw(st.lists(_NEAR_MAX, min_size=n, max_size=n))
     lii = data.draw(st.lists(st.sampled_from([0, 4, 5, 5.0, 10]),
                              min_size=n, max_size=n))
-    _assert_best_heads_ranking(row, lii, data.draw(st.integers(1, n)),
-                               data.draw(st.sets(st.integers(1, n))))
+    m = data.draw(st.integers(1, n))
+    _assert_best_heads_ranking(row, lii, m,
+                               data.draw(st.sets(st.integers(1, n))) - {m})
 
 
 @pytest.mark.parametrize("row, lii, best", [
@@ -496,14 +503,6 @@ def test_best_candidate_stops_at_score_max(data):
 ])
 def test_best_candidate_at_score_max_cases(row, lii, best):
     assert _assert_best_heads_ranking(row, lii, 4, {1, 2, 3}) == best
-
-
-def test_ids_below_the_row_offset_are_refused():
-    inst = Instance(2, (5, 5), ((0, 3), (3, 0)))
-    view = LocalView(1, 5, inst.lxi[0], 1)
-    # id 0 would index the row at -1, i.e. the last peer
-    assert _rank_candidates(view, _announcer_table([(-9, 0), (-5, 2)], 1)) == [2]
-    assert _best_candidate(view, _announcer_table([(-9, 0)], 1)) is None
 
 
 # Each case below needs the scan to read the run past a tie at the early
@@ -549,10 +548,10 @@ def test_refused_run_is_passed_over_for_an_accepted_one():
     rows = [[0 if c == r else 1 for c in range(7)] for r in range(7)]
     rows[6] = [10, 5, 5, 0, 0, 10, 0]
     inst = Instance(7, lii, tuple(map(tuple, rows)))
-    view = LocalView(7, 0, inst.lxi[6], 1)
+    device = NodeState(7, 0, inst.lxi[6], 1)
     table = _announcer_table([(-inst.lii_of(n), n) for n in range(1, 7)], 1)
     assert [run[1] for run in table] == [(4, 5), (2, 3), (1, 6)]
-    assert _rank_candidates(view, table) == [1, 2, 3, 6]
+    assert _rank_candidates(device, table) == [1, 2, 3, 6]
     _assert_chosen(inst, 2, 7, 1)
 
 

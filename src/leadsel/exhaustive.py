@@ -282,7 +282,7 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
         if not strict:
             cols += [iso] * r
         elif len(cols) < r:
-            continue
+            continue  # strict: the solver below seats every UE or raises
         try:
             ri, ci = linear_sum_assignment(dense[np.ix_(rows, cols)])
         except ValueError:
@@ -296,8 +296,6 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
                 mandatory_filled += c % 2 == 0
         if mandatory_filled < k:
             continue  # some leader cannot receive any follower
-        if strict and len(follows) < r:
-            continue
         util = sum(lii[l] for l in leaders)
         util += sum(lxi[m][l] for m, l in follows.items())
         best.offer(util, leaders, follows)

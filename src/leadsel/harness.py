@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exhaustive import solve_exhaustive
-from .model import Instance, generate_instance
+from .model import SCORE_MAX, Instance, generate_instance, leader_candidates
 from .protocol import BROADCAST, P2P, EpisodeOutcome, ProtocolConfig, run_episode
 
 
@@ -32,16 +32,14 @@ def rho_rule(inst: Instance, rule: str):
     ``mean``: arithmetic mean of the willingness scores (may be fractional).
     ``half_n``: smallest integer threshold keeping at most n//2 candidates.
     """
-    liis = [inst.lii_of(n) for n in inst.ue_ids]
     if rule == "mean":
-        mean = statistics.fmean(liis)
+        mean = statistics.fmean(inst.lii_of(n) for n in inst.ue_ids)
         return int(mean) if mean.is_integer() else mean
     if rule == "half_n":
-        limit = inst.n // 2
-        for rho in range(0, 11):
-            if sum(1 for v in liis if v > rho) <= limit:
+        for rho in range(SCORE_MAX):
+            if len(leader_candidates(inst, rho, inst.ue_ids)) <= inst.n // 2:
                 return rho
-        return 10
+        return SCORE_MAX  # nobody clears it
     raise ValueError(f"unknown rho rule {rule!r}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import Iterable, Mapping, Optional, Sequence
@@ -367,15 +368,20 @@ def li_score(inst: Instance, m: int, n: int):
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    c1_ok: bool
-    c2_ok: bool
-    c3_ok: bool
-    capacity_ok: bool
+    """The ``(code, node)`` violations in check order: C1, C2, C3, C2Lim."""
     violators: tuple = ()
+
+    def _ok(self, code: str) -> bool:
+        return all(c != code for c, _ in self.violators)
+
+    c1_ok = property(lambda self: self._ok("C1"))
+    c2_ok = property(lambda self: self._ok("C2"))
+    c3_ok = property(lambda self: self._ok("C3"))
+    capacity_ok = property(lambda self: self._ok("C2Lim"))
 
     @property
     def all_ok(self) -> bool:
-        return self.c1_ok and self.c2_ok and self.c3_ok and self.capacity_ok
+        return not self.violators
 
 
 def check_constraints(inst: Instance, a: Assignment, rho,
@@ -391,38 +397,19 @@ def check_constraints(inst: Instance, a: Assignment, rho,
     """
     a.validate_structure(inst)
     violators = []
-
     if strict:
-        for m in sorted(a.isolated):
-            if m != EDGE_SERVER_ID:
-                violators.append(("C1", m))
-    c1_ok = not any(c == "C1" for c, _ in violators)
-
-    follower_counts = {n: 0 for n in inst.node_ids}
-    for m, n in a.follows.items():
-        follower_counts[n] += 1
-    for n in sorted(inst.node_ids):
-        if n in a.leaders and follower_counts[n] == 0:
-            violators.append(("C2", n))
-        elif n not in a.leaders and follower_counts[n] > 0:
-            violators.append(("C2", n))
-    c2_ok = not any(c == "C2" for c, _ in violators)
-
-    for n in sorted(a.leaders):
-        if inst.lii_of(n) <= rho:
-            violators.append(("C3", n))
-    c3_ok = not any(c == "C3" for c, _ in violators)
-
-    capacity_ok = True
+        violators += [("C1", m) for m in sorted(a.isolated)
+                      if m != EDGE_SERVER_ID]
+    counts = Counter(a.follows.values())
+    violators += [("C2", n) for n in inst.node_ids
+                  if (n in a.leaders) != (n in counts)]
+    may_lead = set(leader_candidates(inst, rho, a.leaders))
+    violators += [("C3", n) for n in sorted(a.leaders) if n not in may_lead]
     if caps is not None:
         check_caps(caps)
-        for n in sorted(a.leaders):
-            limit = caps.get(n)
-            if limit is not None and follower_counts[n] > limit:
-                violators.append(("C2Lim", n))
-                capacity_ok = False
-
-    return ConstraintReport(c1_ok, c2_ok, c3_ok, capacity_ok, tuple(violators))
+        violators += [("C2Lim", n) for n in sorted(a.leaders)
+                      if caps.get(n) is not None and counts[n] > caps[n]]
+    return ConstraintReport(tuple(violators))
 
 
 @dataclass(frozen=True)

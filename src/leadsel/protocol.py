@@ -5,6 +5,10 @@ announces itself; the rest rank the announcers and request the best one.
 Phase 2: announcers that attracted nobody convert to followers and pick
 among the leaders that did. A capacity-limited variant answers requests
 with ACK/NACK and followers retry down their candidate list.
+``run_episode`` takes three steps once each, in order: in Scenario 3 (no
+UE willing to lead) an incentive offer that may raise some lii; both
+phases, in Scenario 3 only if that offer let some UE clear the threshold;
+and the edge-server offer to the UEs still without a role.
 
 A device is one ``NodeState``: its id, its own scores (lii and its stored
 lxi row) and its protocol state. It has five steps, each seeing only
@@ -565,57 +569,36 @@ class EpisodeOutcome:
 
 @dataclass
 class FallbackResult:
-    instance: Instance          # possibly boosted / extended with node 0
-    sim: Optional[SimulationResult]  # rerun after a successful incentive
+    instance: Instance  # extended with node 0 when it made the offer
     extra_follows: dict
-    log: MessageLog             # the edge-server exchange
+    log: MessageLog     # the edge-server exchange
 
 
 def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
-                         unresolved, rng: random.Random) -> FallbackResult:
-    """Edge-server / incentive escape hatch for the marginal regimes.
+                         unresolved) -> FallbackResult:
+    """An episode's last step: the edge-server offer to ``unresolved``.
 
-    When nobody is willing to lead, the incentive policy may raise some
-    willingness scores and the two-phase protocol is rerun. Any UE still
-    without a role is offered the edge server, which it accepts iff its
-    own score toward node 0 is positive. With the edge-server policy
-    disabled the unresolved UEs simply end isolated.
+    With the edge-server policy on and some UE left without a role, node 0
+    (attached with default scores when ``inst`` lacks it) announces itself,
+    and each such UE, in id order, follows it iff its own score toward
+    node 0 is positive. Otherwise nothing is sent and the UEs end isolated.
     """
-    effective = inst
-    sim = None
-    log = MessageLog()
-
-    if nobody_willing(inst) and cfg.incentive_policy is not None:
-        pol = cfg.incentive_policy
-        accepted = tuple(n for n in sorted(inst.ue_ids)
-                         if rng.random() < pol.accept_prob)
-        if accepted:
-            lii = list(inst.lii)
-            for n in accepted:
-                i = inst._idx(n)
-                lii[i] = min(SCORE_MAX, lii[i] + pol.delta)
-            effective = Instance(inst.n, tuple(lii), inst.lxi,
-                                 inst.has_edge_server)
-        if leader_candidates(effective, cfg.rho, effective.ue_ids):
-            sim = simulate_protocol(effective, cfg, rng)
-            unresolved = sim.unresolved
-
     extra_follows = {}
+    log = MessageLog()
     if unresolved and cfg.edge_server_policy:
-        if not effective.has_edge_server:
-            effective = attach_edge_server(
-                effective, DEFAULT_EDGE_LII, [DEFAULT_EDGE_LXI] * effective.n)
+        if not inst.has_edge_server:
+            inst = attach_edge_server(
+                inst, DEFAULT_EDGE_LII, [DEFAULT_EDGE_LXI] * inst.n)
         log.add(2, 0, cfg.transport, [(ANNOUNCE, EDGE_SERVER_ID, None,
-                                       effective.lii_of(EDGE_SERVER_ID))])
+                                       inst.lii_of(EDGE_SERVER_ID))])
         pairs = []
         for m in sorted(unresolved):
-            if effective.lxi_of(m, EDGE_SERVER_ID) > 0:
+            if inst.lxi_of(m, EDGE_SERVER_ID) > 0:
                 extra_follows[m] = EDGE_SERVER_ID
                 pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
                           (ACK, EDGE_SERVER_ID, m, None)]
         log.add(2, 0, P2P, pairs)
-
-    return FallbackResult(effective, sim, extra_follows, log)
+    return FallbackResult(inst, extra_follows, log)
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
@@ -633,20 +616,28 @@ def detect_scenario(inst: Instance, rho) -> Optional[str]:
 
 
 def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcome:
-    """One full protocol episode: both phases plus the fallback process."""
+    """One episode: the module docstring's three steps, in order."""
     rng = random.Random(seed)
     scenario = detect_scenario(inst, cfg.rho)
+    effective, pol = inst, cfg.incentive_policy
+    if scenario == SCENARIO_3 and pol is not None:
+        lii = list(inst.lii)  # one draw per UE, in id order, before shuffles
+        for i in range(1 - inst.node_ids.start, len(lii)):
+            if rng.random() < pol.accept_prob:
+                lii[i] = min(SCORE_MAX, lii[i] + pol.delta)
+        if tuple(lii) != inst.lii:
+            effective = Instance(inst.n, tuple(lii), inst.lxi,
+                                 inst.has_edge_server)
 
-    if scenario == SCENARIO_3:
+    # Scenario 3 runs the phases only after the offer, if some UE may lead
+    if scenario != SCENARIO_3 or (pol is not None and leader_candidates(
+            effective, cfg.rho, effective.ue_ids)):
+        sim = simulate_protocol(effective, cfg, rng)
+    else:
         sim = SimulationResult(set(), {}, set(inst.ue_ids), MessageLog(), 0,
                                set())
-    else:
-        sim = simulate_protocol(inst, cfg, rng)
 
-    fb = (run_fallback_process(inst, cfg, sim.unresolved, rng)
-          if sim.unresolved else FallbackResult(inst, None, {}, MessageLog()))
-    if fb.sim is not None:  # incentive succeeded; protocol was rerun
-        sim = fb.sim
+    fb = run_fallback_process(effective, cfg, sim.unresolved)
     log = sim.log
     protocol_messages = len(log)
     for batch in fb.log.batches:  # the edge-server exchange, sent last

@@ -296,6 +296,20 @@ def test_c2_violated_by_empty_leader(instance_a):
     assert ("C2", 3) in rep.violators
 
 
+def test_c2_violated_by_follower_of_non_leader(instance_a):
+    a = Assignment.build(set(), {1: 2}, {2, 3})
+    rep = check_constraints(instance_a, a, 0)
+    assert rep.violators == (("C2", 2),)
+    assert not rep.c2_ok and rep.c1_ok and rep.c3_ok and rep.capacity_ok
+
+
+def test_violators_keep_check_order(instance_a):
+    a = Assignment.build({2}, {1: 3}, {3})
+    rep = check_constraints(instance_a, a, 4, strict=True)
+    assert rep.violators == (("C1", 3), ("C2", 2), ("C2", 3), ("C3", 2))
+    assert rep.capacity_ok and not rep.all_ok
+
+
 def test_c3_violated_below_threshold(instance_a):
     a = Assignment.build({2}, {1: 2, 3: 2}, set())
     rep = check_constraints(instance_a, a, 4)

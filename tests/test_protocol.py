@@ -332,10 +332,12 @@ def test_edge_server_leads_only_in_the_exact_solver():
     assert detect_scenario(inst, 0) == SCENARIO_3
     cfg = ProtocolConfig(rho=0, edge_server_policy=True,
                          incentive_policy=IncentivePolicy(5, 0.0))
-    fb = run_fallback_process(inst, cfg, {1, 2, 3}, random.Random(0))
-    assert fb.sim is None  # no regular UE may lead, so no rerun
+    fb = run_fallback_process(inst, cfg, {1, 2, 3})
     assert fb.instance is inst
     assert fb.extra_follows == {1: 0, 2: 0, 3: 0}
+    outcome = run_episode(inst, cfg, seed=0)
+    assert outcome.rounds == 0  # no regular UE may lead, so no phase ran
+    assert outcome.effective_instance is inst
 
 
 def test_edge_server_offer_respects_refusal():
@@ -349,11 +351,36 @@ def test_edge_server_offer_respects_refusal():
 def test_fallback_message_accounting():
     inst = _scenario2_instance()
     cfg = ProtocolConfig(rho=0, edge_server_policy=True)
-    fb = run_fallback_process(inst, cfg, {1, 2, 3}, random.Random(0))
+    fb = run_fallback_process(inst, cfg, {1, 2, 3})
     # one offer plus request/ack per accepting UE
     assert len(fb.log) == 1 + 2 * len(fb.extra_follows)
     outcome = run_episode(inst, cfg, seed=0)
     assert outcome.total_messages - outcome.protocol_messages == len(fb.log)
+
+
+@pytest.mark.parametrize("inst", [_scenario1_instance(), _scenario2_instance(),
+                                  _scenario3_instance()])
+@pytest.mark.parametrize("pol", [None, IncentivePolicy(5, 0.0),
+                                 IncentivePolicy(5, 1.0)])
+@pytest.mark.parametrize("edge", [False, True])
+def test_episode_runs_the_phases_at_most_once(monkeypatch, inst, pol, edge):
+    runs = []
+
+    def traced(instance, cfg, rng):
+        runs.append(instance)
+        return simulate_protocol(instance, cfg, rng)
+
+    monkeypatch.setattr(leadsel.protocol, "simulate_protocol", traced)
+    cfg = ProtocolConfig(rho=0, edge_server_policy=edge,
+                         incentive_policy=pol)
+    outcome = run_episode(inst, cfg, seed=0)
+    if outcome.scenario != SCENARIO_3:
+        assert len(runs) == 1 and runs[0] is inst
+    elif pol is not None and pol.accept_prob == 1.0:
+        assert [r.lii for r in runs] == [(5, 5, 5)]  # the boosted instance
+    else:
+        assert runs == []
+        assert outcome.rounds == 0
 
 
 def test_centralized_reference_count():

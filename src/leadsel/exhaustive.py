@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Mapping, Optional
 
 from .counting import count_configs_exhaustive
@@ -81,11 +81,14 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
     Ties go to the smallest ``Assignment.sort_key``: the sorted leader
     tuple, then the sorted follower map. With caps the greedy completion
     is an exact slot-matching per leader set, so the leaders are the
-    smallest optimal tuple but the follower map is the matching the
-    assignment solver picks for them, not always the smallest. Leader sets
-    are solved in descending order of an upper bound on their utility
-    until the bound falls below the best utility found; ``configs_visited``
-    is then the number of leader sets enumerated, cut ones included.
+    smallest optimal tuple but the follower map is the matching
+    ``_min_cost_assignment`` picks for them, not always the smallest: it
+    seats UEs in id order, scans slots last to first, and on a tie moves
+    to a free slot. Leader sets are solved in descending order of an upper
+    bound on their utility until the bound falls below the best utility
+    found; ``configs_visited`` is then the number of leader sets
+    enumerated, cut ones included. ``elapsed`` times the search only: the
+    capacitated search's numpy is imported before the clock starts.
 
     Raises ``LimitExceeded`` before any work above ``HARD_LIMIT`` nodes
     and, without caps, above ``CONFIG_BUDGET`` configurations.
@@ -96,6 +99,7 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
             f"{inst.node_count} nodes exceeds the hard limit {HARD_LIMIT}")
     if caps is not None:
         check_caps(caps)
+        import numpy  # noqa: F401  (for the bounds, imported off the clock)
     elif (configs := count_configs_exhaustive(inst.node_count)) > CONFIG_BUDGET:
         raise LimitExceeded(
             f"{inst.node_count} nodes need {configs} configurations, "
@@ -209,8 +213,7 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     # first set whose bound falls below the best utility found. Sets that
     # tie the best are still solved, since the incumbent keeps the smallest
     # sort key whatever order the sets are visited in.
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
+    import numpy as np  # solve_exhaustive loads it before its clock starts
 
     eligible = [n for n in leader_candidates(inst, rho)
                 if caps.get(n, inst.node_count) >= 1]
@@ -221,29 +224,34 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
     big = sum(lii.values()) + sum(sum(r.values()) for r in lxi.values()) + 1
 
-    # Every cost matrix is a slice of one dense matrix. Row m is UE m;
-    # columns 2e and 2e + 1 are eligible leader e's mandatory and optional
-    # slot, and column iso is the isolation column. A slice holds exactly
-    # the values of the matrix built cell by cell for its leader set, so
-    # the assignment solver breaks ties between equal matchings the same
-    # way.
+    # scores[m][e] is UE m's score toward eligible leader e, or 0 where m
+    # refuses it; row 0 (the edge server, which never follows) is all 0.
     ues = [m for m in inst.node_ids if m != EDGE_SERVER_ID]
-    iso = 2 * len(eligible)
-    dense = np.full((inst.n + 1, iso + 1), np.inf)
-    dense[:, iso] = 0.0
-    positive = np.zeros((inst.n + 1, len(eligible)))
+    scores = [[0] * len(eligible)]
+    scores += [[v if (v := lxi[m].get(l, 0)) > 0 else 0 for l in eligible]
+               for m in ues]
     limits = [caps.get(l, len(ues)) for l in eligible]
-    for e, l in enumerate(eligible):
-        for m in ues:
-            v = lxi[m].get(l, 0)
-            if v > 0:
-                dense[m, 2 * e] = -(v + big)
-                dense[m, 2 * e + 1] = -v
-                positive[m, e] = v
+
+    # Every cost matrix is a slice of one table. Row m is UE m; columns 2e
+    # and 2e + 1 are eligible leader e's mandatory and optional slot, and
+    # column iso is the isolation column. A slice holds exactly the values
+    # of the matrix built cell by cell for its leader set, so
+    # _min_cost_assignment breaks ties between equal matchings the same way
+    # (last column first, a free column wins a tie).
+    iso = 2 * len(eligible)
+    inf = float("inf")
+    table = {}
+    for m in ues:
+        row = []
+        for v in scores[m]:
+            row += (float(-(v + big)), float(-v)) if v > 0 else (inf, inf)
+        row.append(0.0)
+        table[m] = row
 
     # A set's bound is its lii sum plus the smaller of two bounds on what
     # its followers add: the sum of each leader's cap largest scores, and
     # the sum of each other UE's best score toward the set.
+    positive = np.array(scores, dtype=float)
     ids = np.array(eligible)
     lii_e = np.array([lii[l] for l in eligible], dtype=float)
     top_e = np.array([np.sort(positive[:, e])[::-1][:limit].sum()
@@ -251,7 +259,8 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     sets, bounds = [], []
     for k in range(1, min(kmax, len(eligible)) + 1):
         combos = list(combinations(range(len(eligible)), k))
-        idx = np.array(combos)
+        idx = np.fromiter(chain.from_iterable(combos), np.intp,
+                          len(combos) * k).reshape(-1, k)
         toward = positive[:, idx[:, 0]]
         for j in range(1, k):
             np.maximum(toward, positive[:, idx[:, j]], out=toward)
@@ -282,17 +291,17 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
         if not strict:
             cols += [iso] * r
         elif len(cols) < r:
-            continue  # strict: the solver below seats every UE or raises
-        try:
-            ri, ci = linear_sum_assignment(dense[np.ix_(rows, cols)])
-        except ValueError:
+            continue  # strict: the solver below seats every UE or fails
+        picked = _min_cost_assignment(
+            [[table[m][c] for c in cols] for m in rows])
+        if picked is None:
             continue  # no feasible placement of all UEs
         follows = {}
         mandatory_filled = 0
-        for i, j in zip(ri.tolist(), ci.tolist()):
+        for m, j in zip(rows, picked):
             c = cols[j]
             if c < iso:
-                follows[rows[i]] = eligible[c // 2]
+                follows[m] = eligible[c // 2]
                 mandatory_filled += c % 2 == 0
         if mandatory_filled < k:
             continue  # some leader cannot receive any follower
@@ -300,6 +309,69 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
         util += sum(lxi[m][l] for m, l in follows.items())
         best.offer(util, leaders, follows)
     return len(sets)
+
+
+def _min_cost_assignment(cost: list) -> Optional[list]:
+    """The column assigned to each row of a minimum-cost assignment, or
+    None when no assignment avoids every ``inf`` cell.
+
+    ``cost`` is a list of rows with at most as many rows as columns. This
+    is the shortest augmenting path algorithm of D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016, step for step as the widely used C++ ``rectangular_lsap`` runs
+    it, so the two pick the same assignment among equal-cost ones (a
+    differential test in ``tests/test_exhaustive.py`` holds them
+    together). Rows are seated in order, each by a Dijkstra search over
+    reduced costs that scans the remaining columns last to first and, on
+    an equal shortest distance, moves to a free column. The reduced cost
+    is evaluated as ``minval + cost - u - v`` in that order, since floats
+    round.
+    """
+    nr, nc = len(cost), len(cost[0])
+    inf = float("inf")
+    u, v = [0.0] * nr, [0.0] * nc
+    path = [-1] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        dist = [inf] * nc  # shortest path cost to each column
+        remaining = list(range(nc - 1, -1, -1))
+        seen_rows, seen_cols = [cur], []
+        minval, i = 0.0, cur
+        while True:
+            row, ui = cost[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = minval + row[j] - ui - v[j]
+                d = dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d <= lowest and (d < lowest or row4col[j] == -1):
+                    lowest, index = d, it
+            minval = lowest
+            if minval == inf:
+                return None
+            j = remaining[index]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            seen_rows.append(i)
+        # update the duals, then augment along the path ending at column j
+        u[cur] += minval
+        for i in seen_rows[1:]:
+            u[i] += minval - dist[col4row[i]]
+        for c in seen_cols:
+            v[c] -= minval - dist[c]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def brute_force_oracle(inst: Instance, rho, caps: Optional[Mapping] = None,

@@ -55,6 +55,58 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _capped_solve_in_fresh_process(tmp_path, setup: str, after: str) -> str:
+    """Run ``setup``, a capped ``solve_exhaustive`` and ``leadsel solve
+    --caps`` (N = 12) through ``cli.main`` in a new interpreter, then
+    ``after``; returns the last line printed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leadsel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    inst_path, caps_path = tmp_path / "inst.json", tmp_path / "caps.json"
+    code = (f"{setup}\n"
+            "import json, sys\n"
+            "from leadsel import generate_instance, save_instance, "
+            "solve_exhaustive\n"
+            "from leadsel.cli import main\n"
+            "inst = generate_instance(12, 0)\n"
+            "caps = {m: 1 + m % 3 for m in inst.ue_ids}\n"
+            "lib = solve_exhaustive(inst, 5, caps=caps)\n"
+            f"save_instance(inst, {str(inst_path)!r})\n"
+            f"open({str(caps_path)!r}, 'w').write(json.dumps(caps))\n"
+            f"main(['solve', '--rho', '5', '--caps', {str(caps_path)!r}, "
+            f"{str(inst_path)!r}], standalone_mode=False)\n"
+            f"{after}\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_capped_solves_never_load_scipy(tmp_path):
+    # the capacitated search runs its own assignment solver; importing
+    # scipy.optimize alone would cost more than half a second
+    last = _capped_solve_in_fresh_process(
+        tmp_path, "import sys",
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    assert last == "[]"
+
+
+def test_capped_solve_time_leaves_out_the_numpy_import(tmp_path):
+    # Importing numpy is made to take 1000 s on the clock the solver reads,
+    # so a solve that started its clock before the import reports it.
+    setup = ("import sys, time\n"
+             "clock, skew = time.perf_counter, [0.0]\n"
+             "time.perf_counter = lambda: clock() + skew[0]\n"
+             "class SlowNumpy:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        skew[0] += 1000.0 * (name == 'numpy')\n"
+             "sys.meta_path.insert(0, SlowNumpy())")
+    last = _capped_solve_in_fresh_process(
+        tmp_path, setup, "print(json.dumps([lib.elapsed, skew[0]]))")
+    lib_elapsed, skew = json.loads(last)
+    assert skew == 1000.0  # numpy was imported once, by the library solve
+    assert lib_elapsed < 1000.0
+
+
 # -- gen ----------------------------------------------------------------------
 
 def test_gen_writes_valid_instance(runner, tmp_path):

@@ -33,5 +33,5 @@ def _imported() -> set:
 def test_every_third_party_import_is_declared():
     # each module used here shares its name with its distribution
     imported = _imported()
-    assert {"click", "numpy", "scipy"} <= imported
+    assert {"click", "numpy"} <= imported
     assert imported <= _declared()

@@ -201,6 +201,65 @@ def test_tie_break_is_deterministic():
     assert solve_exhaustive(inst, 0).assignment == sol.assignment
 
 
+def _slot_matrix(rng: random.Random) -> list:
+    """A cost matrix shaped like the capacitated search's: per leader a
+    mandatory slot column (-(v + big)) and optional ones (-v), inf where a
+    UE refuses the leader, then zero-cost isolation columns (none, as in
+    strict mode, about a quarter of the time)."""
+    nr = rng.randint(1, 9)
+    nc = rng.randint(nr, 20)
+    isolation = 0 if rng.random() < 0.25 else rng.randint(0, nc - 1)
+    leader_of, mandatory = [], []
+    for c in range(nc - isolation):
+        if c == 0 or rng.random() < 0.4:
+            leader_of.append(len(mandatory))
+            mandatory.append(True)
+        else:
+            leader_of.append(leader_of[-1])
+            mandatory.append(False)
+    if rng.random() < 0.5:
+        draw = lambda: rng.randint(0, 3)  # noqa: E731  (tie-heavy)
+    else:
+        draw = lambda: rng.random() if rng.random() < 0.8 else 0  # noqa: E731
+    scores = []
+    for _ in range(nr):
+        refuses_all = rng.random() < 0.05
+        scores.append([0 if refuses_all else draw()
+                       for _ in range(leader_of[-1] + 1)])
+    big = sum(map(sum, scores)) + 1
+    inf = float("inf")
+    cost = []
+    for row in scores:
+        cells = []
+        for e, first in zip(leader_of, mandatory):
+            v = row[e]
+            cells.append(inf if v <= 0 else float(-(v + big) if first else -v))
+        cost.append(cells + [0.0] * isolation)
+    return cost
+
+
+def test_min_cost_assignment_matches_scipy():
+    # The capacitated search pins scipy's choice among equal matchings
+    # (tests/golden_capacitated.json), so the in-repo solver must pick the
+    # same column for every row, and fail exactly where scipy raises.
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    rng = random.Random(13)
+    infeasible = 0
+    for case in range(3000):
+        cost = _slot_matrix(rng)
+        try:
+            expected = linear_sum_assignment(np.array(cost))[1].tolist()
+        except ValueError:
+            expected = None
+            infeasible += 1
+        got = leadsel.exhaustive._min_cost_assignment(cost)
+        assert got == expected, (
+            f"matrix {case} differs: {cost!r}: scipy {expected}, got {got}")
+    assert infeasible > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=3, max_value=6), st.integers(),
        st.sampled_from([0, 2, 5]))

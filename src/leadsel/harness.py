@@ -13,7 +13,7 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .exhaustive import solve_exhaustive
 from .model import SCORE_MAX, Instance, generate_instance, leader_candidates
@@ -109,7 +109,7 @@ class ExperimentConfig:
     rho_values: Sequence = tuple(range(10))
     master_seed: int = 0
     modes: Sequence[str] = (BROADCAST,)
-    optimal_rho: object = 0
+    optimal_rho: ClassVar = 0  # the exact reference's threshold
     timing_reps: int = 3
     jobs: int = 1
 

@@ -18,11 +18,10 @@ retry after a NACK), and close phase 1. The simulator builds each device
 and takes its role in one pass, keeps the candidate and follower ids in
 ascending order, and calls the other steps on those lists in synchronous
 rounds; the timer separating the phases is a round barrier, so every
-request and reply of a phase is delivered before phase 1 closes. A
-delivery round is one pass over the round's ``(sender, target)`` request
-pairs in a seeded order (it only matters under capacities, where leaders
-serve first come first serve): each leader serves its requests in that
-order, and each requester takes its reply in the same order.
+request and reply of a phase is delivered before phase 1 closes. Requests
+are delivered in seeded rounds, as ``simulate_protocol`` sets out; the
+order only matters under capacities, where leaders serve first come first
+serve.
 
 The barrier also means that every receiver of an announcement round hears
 the same announcers, so the simulator builds one announcer table per round
@@ -34,7 +33,7 @@ score. It reads the next run only while that run's lii could still reach
 the best total found. A follower requests its best candidate and ranks the
 rest from the same table only when that one answers NACK.
 
-The message log is a list of ``Batch``es in send order: one per
+An episode keeps one message log, its ``Batch``es in send order: one per
 announcement round, one for the requests and one for the replies of each
 phase and round, and, logged last, the edge-server offer and its requests
 and ACKs. Messages are counted per (phase, kind, transport) as they are
@@ -128,13 +127,10 @@ class ProtocolConfig:
     caps: Optional[Mapping] = None
     edge_server_policy: bool = False
     incentive_policy: Optional[IncentivePolicy] = None
-    delivery_order: str = "random"  # or "ascending"
 
     def __post_init__(self):
         if self.transport not in (BROADCAST, P2P):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.delivery_order not in ("random", "ascending"):
-            raise ValueError(f"unknown delivery order {self.delivery_order!r}")
         if self.caps is not None:
             check_caps(self.caps)
 
@@ -432,7 +428,18 @@ class SimulationResult:
 
 def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                       rng: random.Random) -> SimulationResult:
-    """Run both phases over all regular UEs; the edge server never takes part."""
+    """Run both phases over all regular UEs; the edge server never takes part.
+
+    Each phase delivers its requests in rounds:
+
+    1. A phase's first pending list holds the requesters in ascending id.
+    2. Each round shuffles the whole list once, with ``rng`` (the
+       episode's), after any incentive draws.
+    3. Leaders serve requests in that order, and requesters take their
+       replies in the same order.
+    4. The NACKed requesters' retries, in delivery order, form the next
+       round's list.
+    """
     ids = inst.ue_ids
     off = inst.node_ids.start
     log = MessageLog()
@@ -460,17 +467,12 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
         return pending
 
     def deliver(pending: list, phase: int) -> None:
-        # One pass per round: leaders serve in delivery order, and each
-        # requester takes its reply in that order (no node is both, so this
-        # is the same as serving every request first). NACKed requesters
-        # retry next round.
+        # one pass per round (no node both serves and requests, so this is
+        # the same as serving every request first)
         nonlocal rnd
         while pending:
             rnd += 1
-            if cfg.delivery_order == "random":
-                rng.shuffle(pending)
-            else:
-                pending.sort()  # one request per sender: by sender
+            rng.shuffle(pending)
             replies = []
             retries = []
             for m, n in pending:
@@ -567,24 +569,18 @@ class EpisodeOutcome:
         return d
 
 
-@dataclass
-class FallbackResult:
-    instance: Instance  # extended with node 0 when it made the offer
-    extra_follows: dict
-    log: MessageLog     # the edge-server exchange
-
-
-def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
-                         unresolved) -> FallbackResult:
+def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
+                         log: MessageLog) -> tuple[Instance, dict]:
     """An episode's last step: the edge-server offer to ``unresolved``.
 
     With the edge-server policy on and some UE left without a role, node 0
     (attached with default scores when ``inst`` lacks it) announces itself,
     and each such UE, in id order, follows it iff its own score toward
-    node 0 is positive. Otherwise nothing is sent and the UEs end isolated.
+    node 0 is positive; the exchange is appended to ``log``. Otherwise
+    nothing is sent and the UEs end isolated. Returns the instance, holding
+    node 0 when it made the offer, and the ``{ue: 0}`` follows it gained.
     """
     extra_follows = {}
-    log = MessageLog()
     if unresolved and cfg.edge_server_policy:
         if not inst.has_edge_server:
             inst = attach_edge_server(
@@ -598,7 +594,7 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig,
                 pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
                           (ACK, EDGE_SERVER_ID, m, None)]
         log.add(2, 0, P2P, pairs)
-    return FallbackResult(inst, extra_follows, log)
+    return inst, extra_follows
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
@@ -637,22 +633,20 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
         sim = SimulationResult(set(), {}, set(inst.ue_ids), MessageLog(), 0,
                                set())
 
-    fb = run_fallback_process(effective, cfg, sim.unresolved)
-    log = sim.log
-    protocol_messages = len(log)
-    for batch in fb.log.batches:  # the edge-server exchange, sent last
-        log.add(*batch)
-    leaders = set(sim.leaders) | set(fb.extra_follows.values())
-    follows = {**sim.follows, **fb.extra_follows}
-    isolated = set(fb.instance.node_ids) - leaders - set(follows)
+    protocol_messages = len(sim.log)
+    final, extra_follows = run_fallback_process(effective, cfg, sim.unresolved,
+                                                sim.log)
+    leaders = set(sim.leaders) | set(extra_follows.values())
+    follows = {**sim.follows, **extra_follows}
+    isolated = set(final.node_ids) - leaders - set(follows)
     assignment = Assignment.build(leaders, follows, isolated)
     return EpisodeOutcome(
         assignment=assignment,
-        utility=assignment_utility(fb.instance, assignment),
-        log=log,
+        utility=assignment_utility(final, assignment),
+        log=sim.log,
         protocol_messages=protocol_messages,
         scenario=scenario,
         rounds=sim.rounds,
         leader_set_phase1=frozenset(sim.leader_set_phase1),
-        effective_instance=fb.instance,
+        effective_instance=final,
     )

@@ -289,6 +289,55 @@ def test_caps_reject_bad_ids_and_limits(runner, instance_a_path, tmp_path,
         assert f"key {key}" in result.output
 
 
+@pytest.mark.parametrize("case", [
+    "caps-not-a-map", "caps-missing", "gen-out", "simulate-log", "bench-out"])
+def test_json_errors_cover_file_failures(runner, instance_a_path, tmp_path,
+                                         case):
+    listed, missing = tmp_path / "list.json", tmp_path / "missing.json"
+    listed.write_text("[1, 2]")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    nodir = tmp_path / "nodir"
+    argv, code, error = {
+        "caps-not-a-map": (["solve", "--caps", str(listed), instance_a_path],
+                           2, f"caps file {listed} must map ue-id to limit"),
+        "caps-missing": (["solve", "--caps", str(missing), instance_a_path],
+                         1, f"cannot read {missing}: "),
+        "gen-out": (["gen", "--n", "3", "--out", str(nodir / "x.json")],
+                    1, f"cannot write {nodir / 'x.json'}: "),
+        "simulate-log": (["simulate", "--rho", "4", "--log",
+                          str(nodir / "l.jsonl"), instance_a_path],
+                         1, f"cannot write {nodir / 'l.jsonl'}: "),
+        "bench-out": (["bench", "--n", "3", "--instances", "1", "--rho", "0",
+                       "--timing-reps", "1", "--out", str(afile / "sub")],
+                      1, f"cannot write to {afile / 'sub'}: "),
+    }[case]
+    result = runner.invoke(main, ["--json-errors"] + argv)
+    assert result.exit_code == code
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["exit_code"] == code
+    assert payload["error"].startswith(error)
+    if case == "caps-not-a-map":
+        assert payload == {"error": error, "exit_code": 2}
+
+
+@pytest.mark.parametrize("lii0, row0, diagnostic", [
+    (0, [0, 0, 0], "lii[0]: edge server needs lii > 0"),
+    (10, [0, 1, 0], "lxi[0]: edge server never follows anyone; row 0 must "
+                    "be zero"),
+], ids=["lii0", "row0"])
+def test_solve_rejects_a_bad_edge_server(runner, tmp_path, lii0, row0,
+                                         diagnostic):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "n": 2, "edge_server": True, "lii": [lii0, 5, 5],
+        "lxi": [row0, [1, 0, 1], [1, 1, 0]]}))
+    result = runner.invoke(main, ["--json-errors", "solve", str(path)])
+    assert result.exit_code == 2
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["error"] == f"bad instance file {path}: {diagnostic}"
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--n", str(COUNT_MAX_N + 1)],
     ["gen", "--n", "0", "--out", "x.json"],

@@ -60,6 +60,11 @@ def test_rho_rule_half_n():
     rho = rho_rule(inst, "half_n")
     assert rho == 1
     assert sum(1 for n in inst.ue_ids if inst.lii_of(n) > rho) == 3
+    # 3 of 4 UEs clear every threshold below 10, more than n // 2 = 2
+    inst = Instance(4, (10, 10, 10, 1),
+                    tuple(tuple(0 if c == r else 1 for c in range(4))
+                          for r in range(4)))
+    assert rho_rule(inst, "half_n") == 10
 
 
 def test_rho_rule_rejects_unknown(instance_a):
@@ -123,6 +128,13 @@ def test_experiment_config_validation():
         ExperimentConfig(n_values=())
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=(5,), instances_per_n=0)
+
+
+def test_optimal_rho_is_a_constant():
+    # the exact reference always solves at rho 0; it is not a setting
+    assert ExperimentConfig(n_values=(5,)).optimal_rho == 0
+    with pytest.raises(TypeError):
+        ExperimentConfig(n_values=(5,), optimal_rho=1)
 
 
 @pytest.fixture(scope="module")

@@ -42,6 +42,7 @@ from leadsel.protocol import (
     SCENARIO_2,
     SCENARIO_3,
     Message,
+    MessageLog,
     NodeState,
     _announcer_table,
     _best_candidate,
@@ -189,11 +190,6 @@ def test_config_rejects_caps_not_keyed_by_node_id(key):
         ProtocolConfig(caps=caps)
 
 
-def test_config_rejects_unknown_delivery_order():
-    with pytest.raises(ValueError):
-        ProtocolConfig(delivery_order="chaotic")
-
-
 def test_incentive_policy_validation():
     with pytest.raises(ValueError):
         IncentivePolicy(delta=11, accept_prob=0.5)
@@ -247,15 +243,21 @@ def test_episode_log_round_trip(tmp_path, instance_a):
     assert ANNOUNCE in kinds and FOLLOW_REQUEST in kinds
 
 
-def test_capacity_nack_retry_with_fixed_order():
-    # both followers prefer UE 1; with capacity 1 the second is bounced to UE 2
+def test_capacity_nack_retry_in_any_arrival_order():
+    # both followers prefer UE 1; with capacity 1 whichever request arrives
+    # second is bounced to UE 2, and the seed decides which one that is
     inst = Instance(4, (9, 8, 0, 0),
                     ((0, 1, 1, 1), (1, 0, 1, 1), (9, 3, 0, 1), (9, 3, 1, 0)))
-    cfg = ProtocolConfig(rho=5, caps={1: 1, 2: 1}, delivery_order="ascending")
-    outcome = run_episode(inst, cfg, seed=0)
-    assert outcome.assignment.follows == {3: 1, 4: 2}
-    nacks = [m for m in outcome.messages if m.kind == NACK]
-    assert len(nacks) == 1 and nacks[0].receiver == 4
+    cfg = ProtocolConfig(rho=5, caps={1: 1, 2: 1})
+    bounced = set()
+    for seed in range(20):
+        outcome = run_episode(inst, cfg, seed)
+        follows = outcome.assignment.follows
+        assert sorted(follows.values()) == [1, 2]
+        nacks = [m for m in outcome.messages if m.kind == NACK]
+        assert len(nacks) == 1 and follows[nacks[0].receiver] == 2
+        bounced.add(nacks[0].receiver)
+    assert bounced == {3, 4}
 
 
 def test_simulate_reports_unresolved():
@@ -332,9 +334,10 @@ def test_edge_server_leads_only_in_the_exact_solver():
     assert detect_scenario(inst, 0) == SCENARIO_3
     cfg = ProtocolConfig(rho=0, edge_server_policy=True,
                          incentive_policy=IncentivePolicy(5, 0.0))
-    fb = run_fallback_process(inst, cfg, {1, 2, 3})
-    assert fb.instance is inst
-    assert fb.extra_follows == {1: 0, 2: 0, 3: 0}
+    log = MessageLog()
+    final, extra_follows = run_fallback_process(inst, cfg, {1, 2, 3}, log)
+    assert final is inst
+    assert extra_follows == {1: 0, 2: 0, 3: 0}
     outcome = run_episode(inst, cfg, seed=0)
     assert outcome.rounds == 0  # no regular UE may lead, so no phase ran
     assert outcome.effective_instance is inst
@@ -351,11 +354,14 @@ def test_edge_server_offer_respects_refusal():
 def test_fallback_message_accounting():
     inst = _scenario2_instance()
     cfg = ProtocolConfig(rho=0, edge_server_policy=True)
-    fb = run_fallback_process(inst, cfg, {1, 2, 3})
+    log = MessageLog()
+    _, extra_follows = run_fallback_process(inst, cfg, {1, 2, 3}, log)
     # one offer plus request/ack per accepting UE
-    assert len(fb.log) == 1 + 2 * len(fb.extra_follows)
+    assert len(log) == 1 + 2 * len(extra_follows)
     outcome = run_episode(inst, cfg, seed=0)
-    assert outcome.total_messages - outcome.protocol_messages == len(fb.log)
+    assert outcome.total_messages - outcome.protocol_messages == len(log)
+    # the exchange is appended to the episode's one log, after the phases
+    assert outcome.log.batches[-2:] == log.batches
 
 
 @pytest.mark.parametrize("inst", [_scenario1_instance(), _scenario2_instance(),
@@ -442,17 +448,14 @@ def _closed_form(inst, rho):
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.integers(0, 10), st.sampled_from([BROADCAST, P2P]),
        st.integers(0, 2**32))
-def test_episode_matches_closed_form_in_either_delivery_order(
-        inst, rho, transport, seed):
+def test_episode_matches_closed_form(inst, rho, transport, seed):
     cands, expected = _closed_form(inst, rho)
-    outcomes = [run_episode(inst, ProtocolConfig(rho=rho, transport=transport,
-                                                 delivery_order=order), seed)
-                for order in ("random", "ascending")]
-    for outcome in outcomes:
-        assert outcome.assignment == expected
-        assert outcome.utility == utility(inst, expected)
-        if outcome.scenario != SCENARIO_3:
-            assert outcome.leader_set_phase1 == cands
+    outcome = run_episode(inst, ProtocolConfig(rho=rho, transport=transport),
+                          seed)
+    assert outcome.assignment == expected
+    assert outcome.utility == utility(inst, expected)
+    if outcome.scenario != SCENARIO_3:
+        assert outcome.leader_set_phase1 == cands
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,9 +595,7 @@ def episodes(draw):
                          transport=draw(st.sampled_from([BROADCAST, P2P])),
                          caps=caps,
                          edge_server_policy=draw(st.booleans()),
-                         incentive_policy=incentive,
-                         delivery_order=draw(st.sampled_from(
-                             ["random", "ascending"])))
+                         incentive_policy=incentive)
     return inst, cfg, draw(st.integers(0, 2**32))
 
 

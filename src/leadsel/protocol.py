@@ -7,8 +7,8 @@ among the leaders that did. A capacity-limited variant answers requests
 with ACK/NACK and followers retry down their candidate list.
 ``run_episode`` takes three steps once each, in order: in Scenario 3 (no
 UE willing to lead) an incentive offer that may raise some lii; both
-phases, in Scenario 3 only if that offer let some UE clear the threshold;
-and the edge-server offer to the UEs still without a role.
+phases; and the edge-server offer to the UEs still without a role, which
+node 0 makes and serves through the same device steps as any leader.
 
 A device is one ``NodeState``: its id, its own scores (lii and its stored
 lxi row) and its protocol state. It has five steps, each seeing only
@@ -140,14 +140,14 @@ class NodeState:
     """One device: what it knows a priori, its own scores only, and its
     protocol state.
 
-    ``lxi_row[n - offset]`` is the device's willingness to follow peer n;
-    the simulator passes the instance's stored row, read in place. A device
-    holds a ``followers`` set only once it is a candidate leader.
+    ``lxi_row`` is the device's willingness to follow each node, the
+    instance's stored row read in place; the announcer table's getters
+    index it. A device holds a ``followers`` set only once it is a candidate
+    leader.
     """
     id: int
     lii: object
     lxi_row: Sequence
-    offset: int = 0
     role: str = FOLLOWER
     # the announcer table of the node's first request
     announcers: Optional[list] = None
@@ -162,7 +162,7 @@ def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional
     """Best candidate for ``m`` by combined score, refusing anyone scored
     zero. ``m`` itself is never chosen."""
     off = inst.node_ids.start
-    device = NodeState(m, inst.lii_of(m), inst.lxi[m - off], off)
+    device = NodeState(m, inst.lii_of(m), inst.lxi[m - off])
     return _best_candidate(device, _announcer_table(
         [(-inst.lii_of(n), n) for n in candidates if n != m], off))
 
@@ -430,7 +430,9 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                       rng: random.Random) -> SimulationResult:
     """Run both phases over all regular UEs; the edge server never takes part.
 
-    Each phase delivers its requests in rounds:
+    Phase 2 opens a round only when phase 1 had a candidate, so an episode
+    with no candidate has 0 rounds. Each phase delivers its requests in
+    rounds:
 
     1. A phase's first pending list holds the requesters in ascending id.
     2. Each round shuffles the whole list once, with ``rng`` (the
@@ -490,7 +492,7 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     states = {}
     candidates, followers = [], []  # ascending, as are the lists below
     for n, lii, row in zip(ids, inst.lii[1 - off:], inst.lxi[1 - off:]):
-        state = states[n] = NodeState(n, lii, row, off)
+        state = states[n] = NodeState(n, lii, row)
         take_role(state, cfg)
         (candidates if state.role == CANDIDATE_LEADER else followers).append(n)
     table = announce(ANNOUNCE, 1, tuple(ids), candidates)
@@ -502,8 +504,8 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
          else isolated).append(n)
 
     # Phase 2: re-announcements go to the phase-1 candidate set, and the
-    # requests share their round
-    rnd += 1
+    # requests share their round, opened only if phase 1 had a candidate
+    rnd += 1 if candidates else 0
     table = announce(PHASE2_ANNOUNCE, 2, tuple(candidates), leading)
     deliver(request(isolated, table, 2, rnd), 2)
 
@@ -574,27 +576,31 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
     """An episode's last step: the edge-server offer to ``unresolved``.
 
     With the edge-server policy on and some UE left without a role, node 0
-    (attached with default scores when ``inst`` lacks it) announces itself,
-    and each such UE, in id order, follows it iff its own score toward
-    node 0 is positive; the exchange is appended to ``log``. Otherwise
-    nothing is sent and the UEs end isolated. Returns the instance, holding
-    node 0 when it made the offer, and the ``{ue: 0}`` follows it gained.
+    (attached with default scores when ``inst`` lacks it) takes its role
+    and serves through the same device steps as any leader, so the
+    threshold and its cap hold. If its lii clears rho, it announces itself,
+    and it answers each such UE, in id order, whose own score toward node 0
+    is positive: ACK, or NACK beyond its cap. The exchange is appended to
+    ``log``. Otherwise nothing is sent and the UEs end isolated. Returns the
+    instance, holding node 0 when it made the offer, and the ``{ue: 0}``
+    follows it gained.
     """
-    extra_follows = {}
-    if unresolved and cfg.edge_server_policy:
-        if not inst.has_edge_server:
-            inst = attach_edge_server(
-                inst, DEFAULT_EDGE_LII, [DEFAULT_EDGE_LXI] * inst.n)
-        log.add(2, 0, cfg.transport, [(ANNOUNCE, EDGE_SERVER_ID, None,
-                                       inst.lii_of(EDGE_SERVER_ID))])
-        pairs = []
-        for m in sorted(unresolved):
-            if inst.lxi_of(m, EDGE_SERVER_ID) > 0:
-                extra_follows[m] = EDGE_SERVER_ID
-                pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
-                          (ACK, EDGE_SERVER_ID, m, None)]
-        log.add(2, 0, P2P, pairs)
-    return inst, extra_follows
+    if not (unresolved and cfg.edge_server_policy):
+        return inst, {}
+    offered = inst if inst.has_edge_server else attach_edge_server(
+        inst, DEFAULT_EDGE_LII, [DEFAULT_EDGE_LXI] * inst.n)
+    edge = NodeState(EDGE_SERVER_ID, offered.lii[0], offered.lxi[0])
+    take_role(edge, cfg)
+    if edge.role != CANDIDATE_LEADER:
+        return inst, {}
+    log.add(2, 0, cfg.transport, [(ANNOUNCE, EDGE_SERVER_ID, None, edge.lii)])
+    pairs = []
+    for m in sorted(unresolved):
+        if offered.lxi_of(m, EDGE_SERVER_ID) > 0:
+            pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
+                      (serve_request(edge, m), EDGE_SERVER_ID, m, None)]
+    log.add(2, 0, P2P, pairs)
+    return offered, dict.fromkeys(sorted(edge.followers), EDGE_SERVER_ID)
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
@@ -625,14 +631,7 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
             effective = Instance(inst.n, tuple(lii), inst.lxi,
                                  inst.has_edge_server)
 
-    # Scenario 3 runs the phases only after the offer, if some UE may lead
-    if scenario != SCENARIO_3 or (pol is not None and leader_candidates(
-            effective, cfg.rho, effective.ue_ids)):
-        sim = simulate_protocol(effective, cfg, rng)
-    else:
-        sim = SimulationResult(set(), {}, set(inst.ue_ids), MessageLog(), 0,
-                               set())
-
+    sim = simulate_protocol(effective, cfg, rng)
     protocol_messages = len(sim.log)
     final, extra_follows = run_fallback_process(effective, cfg, sim.unresolved,
                                                 sim.log)

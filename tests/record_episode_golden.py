@@ -16,9 +16,14 @@ keeps the file small; the others are stored in full.
 Run from the repository root; it overwrites ``tests/golden_episodes.json``:
 
     PYTHONPATH=src python tests/record_episode_golden.py
+
+With ``--check`` it writes nothing: it names each key whose record differs
+from the file, with the fields that changed for a full record, and exits 1
+if any does.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -125,15 +130,45 @@ def describe(name: str, outcome, counts: dict, digest: str):
     return rec
 
 
-def main() -> int:
+def changes(records: dict, golden: dict) -> list:
+    """One line per key whose record in ``records`` differs from
+    ``golden``: the key, and the changed fields of a full record."""
     lines = []
+    for name in sorted(records.keys() | golden.keys()):
+        new, old = records.get(name), golden.get(name)
+        if new == old:
+            continue
+        if isinstance(new, dict) and isinstance(old, dict):
+            fields = sorted(k for k in new.keys() | old.keys()
+                            if new.get(k) != old.get(k))
+            name += ": " + ", ".join(fields)
+        elif new is None or old is None:
+            name += ": not recorded" if new is None else ": not in the file"
+        lines.append(name)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file instead of writing it")
+    check = parser.parse_args(argv).check
+    records = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.jsonl")
         for name, inst, cfg, seed in cases():
             outcome = run_episode(inst, cfg, seed)
-            rec = describe(name, outcome, recount(outcome.messages),
-                           log_digest(outcome, path))
-            lines.append(f"{json.dumps(name)}: {json.dumps(rec, sort_keys=True)}")
+            records[name] = describe(name, outcome, recount(outcome.messages),
+                                     log_digest(outcome, path))
+    if check:
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+        lines = changes(json.loads(json.dumps(records)), golden)
+        print("\n".join(lines + [f"{len(lines)} of {len(records)} episodes "
+                                 f"differ from {GOLDEN}"]))
+        return 1 if lines else 0
+    lines = [f"{json.dumps(name)}: {json.dumps(rec, sort_keys=True)}"
+             for name, rec in records.items()]
     with open(GOLDEN, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(lines)} episodes to {GOLDEN}")

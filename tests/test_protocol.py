@@ -19,7 +19,9 @@ from leadsel import (
     ProtocolConfig,
     ProtocolViolation,
     attach_edge_server,
+    check_constraints,
     choose_leader,
+    derive_seed,
     generate_instance,
     leader_candidates,
     nobody_willing,
@@ -141,7 +143,7 @@ def test_announcement_to_request_handler_is_violation():
 
 
 def test_leader_at_capacity_nacks():
-    state = NodeState(1, 8, (0, 3, 3), 1)
+    state = NodeState(1, 8, (0, 3, 3))
     take_role(state, ProtocolConfig(rho=5, caps={1: 1}))
     assert state.capacity_remaining == 1
     assert serve_request(state, 2) == ACK
@@ -308,7 +310,7 @@ def test_scenario3_edge_server_branch():
     outcome = run_episode(_scenario3_instance(), cfg, seed=0)
     assert outcome.scenario == SCENARIO_3
     assert outcome.assignment.leaders == frozenset({0})
-    assert outcome.rounds == 0  # the two-phase protocol never ran
+    assert outcome.rounds == 0  # no UE cleared rho, so no round opened
 
 
 def test_scenario3_incentive_rerun():
@@ -339,7 +341,7 @@ def test_edge_server_leads_only_in_the_exact_solver():
     assert final is inst
     assert extra_follows == {1: 0, 2: 0, 3: 0}
     outcome = run_episode(inst, cfg, seed=0)
-    assert outcome.rounds == 0  # no regular UE may lead, so no phase ran
+    assert outcome.rounds == 0  # no regular UE may lead, so no round opened
     assert outcome.effective_instance is inst
 
 
@@ -364,12 +366,79 @@ def test_fallback_message_accounting():
     assert outcome.log.batches[-2:] == log.batches
 
 
+def test_edge_server_serves_its_offer_within_its_cap():
+    # UE 1 refuses node 0; of the accepting UEs 2 to 4, the lowest follows
+    # and each other one is refused once
+    inst = attach_edge_server(_scenario1_instance(), 10, [0, 1, 1, 1])
+    caps = {0: 1}
+    for transport in (BROADCAST, P2P):
+        cfg = ProtocolConfig(rho=0, transport=transport, caps=caps,
+                             edge_server_policy=True)
+        outcome = run_episode(inst, cfg, seed=0)
+        assert outcome.assignment.follows == {2: 0}
+        assert outcome.assignment.isolated == {1, 3, 4}
+        nacks = [(m.sender, m.receiver) for m in outcome.messages
+                 if m.kind == NACK]
+        assert nacks == [(0, 3), (0, 4)]
+        assert outcome.message_counts[(2, NACK, P2P)] == 2
+        assert check_constraints(inst, outcome.assignment, 0, caps).all_ok
+
+
+def test_edge_server_offers_only_when_it_clears_rho():
+    # the default node 0 has lii 10, which does not clear rho = 10
+    cfg = ProtocolConfig(rho=10, edge_server_policy=True)
+    outcome = run_episode(_scenario1_instance(), cfg, seed=0)
+    assert not outcome.edge_server_used and outcome.total_messages == 0
+    assert not outcome.effective_instance.has_edge_server
+    inst = attach_edge_server(_scenario2_instance(), 4, [1, 1, 1])
+    outcome = run_episode(inst, ProtocolConfig(rho=5, edge_server_policy=True),
+                          seed=0)
+    assert outcome.assignment.isolated == {0, 1, 2, 3}
+    assert outcome.total_messages == outcome.protocol_messages
+
+
+def test_edge_server_episodes_keep_the_constraints_and_the_optimum():
+    # node 0's lii, its scores and caps on it are drawn; the offer must
+    # keep C3 and the caps, and never beat the exact optimum
+    rng = random.Random(15)
+    for i in range(200):
+        edge = (rng.randint(1, 10), [rng.randint(0, 10) for _ in range(7)])
+        inst = generate_instance(7, derive_seed(15, "edge", i),
+                                 edge if i % 2 else None)
+        caps = {m: rng.randint(0, 2) for m in range(8)}
+        for rho in (-1, 0, 5, 8, 9, 10):
+            for transport in (BROADCAST, P2P):
+                cfg = ProtocolConfig(rho=rho, transport=transport, caps=caps,
+                                     edge_server_policy=True)
+                outcome = run_episode(inst, cfg, seed=i)
+                final = outcome.effective_instance
+                assert check_constraints(final, outcome.assignment, rho,
+                                         caps).all_ok
+                assert outcome.utility <= solve_exhaustive(
+                    final, rho, caps=caps).utility
+
+
+def test_an_episode_without_candidates_has_no_rounds():
+    outcome = run_episode(generate_instance(8, 3), ProtocolConfig(rho=10), 0)
+    assert outcome.scenario is None and outcome.leader_set_phase1 == set()
+    assert outcome.rounds == 0 and outcome.total_messages == 0
+
+
+def test_phases_run_below_a_negative_threshold_in_scenario3():
+    outcome = run_episode(_ZERO_LII, ProtocolConfig(rho=-1), seed=0)
+    assert outcome.scenario == SCENARIO_3
+    assert outcome.leader_set_phase1 == {1, 2, 3}
+    assert outcome.rounds == 1
+
+
 @pytest.mark.parametrize("inst", [_scenario1_instance(), _scenario2_instance(),
                                   _scenario3_instance()])
 @pytest.mark.parametrize("pol", [None, IncentivePolicy(5, 0.0),
                                  IncentivePolicy(5, 1.0)])
 @pytest.mark.parametrize("edge", [False, True])
 def test_episode_runs_the_phases_at_most_once(monkeypatch, inst, pol, edge):
+    # exactly once, in every scenario: on the boosted instance when the
+    # incentive offer raised some lii
     runs = []
 
     def traced(instance, cfg, rng):
@@ -380,13 +449,11 @@ def test_episode_runs_the_phases_at_most_once(monkeypatch, inst, pol, edge):
     cfg = ProtocolConfig(rho=0, edge_server_policy=edge,
                          incentive_policy=pol)
     outcome = run_episode(inst, cfg, seed=0)
-    if outcome.scenario != SCENARIO_3:
-        assert len(runs) == 1 and runs[0] is inst
-    elif pol is not None and pol.accept_prob == 1.0:
-        assert [r.lii for r in runs] == [(5, 5, 5)]  # the boosted instance
+    assert len(runs) == 1
+    if outcome.scenario == SCENARIO_3 and pol is not None and pol.accept_prob:
+        assert runs[0].lii == (5, 5, 5)
     else:
-        assert runs == []
-        assert outcome.rounds == 0
+        assert runs[0] is inst
 
 
 def test_centralized_reference_count():
@@ -396,7 +463,6 @@ def test_centralized_reference_count():
 
 
 def test_episode_constraints_hold_when_non_marginal():
-    from leadsel import check_constraints
     for seed in range(30):
         inst = generate_instance(7, seed)
         outcome = run_episode(inst, ProtocolConfig(rho=3), seed=seed)
@@ -454,8 +520,7 @@ def test_episode_matches_closed_form(inst, rho, transport, seed):
                           seed)
     assert outcome.assignment == expected
     assert outcome.utility == utility(inst, expected)
-    if outcome.scenario != SCENARIO_3:
-        assert outcome.leader_set_phase1 == cands
+    assert outcome.leader_set_phase1 == cands
 
 
 @settings(max_examples=150, deadline=None)
@@ -464,7 +529,7 @@ def test_best_candidate_heads_the_full_ranking(inst, data):
     # the simulator never puts a device in its own table
     m = data.draw(st.sampled_from(inst.ue_ids))
     pool = data.draw(st.sets(st.sampled_from(inst.ue_ids))) - {m}
-    device = NodeState(m, inst.lii_of(m), inst.lxi[m - 1], 1)
+    device = NodeState(m, inst.lii_of(m), inst.lxi[m - 1])
     table = _announcer_table([(-inst.lii_of(n), n) for n in pool], 1)
     ranked = _rank_candidates(device, table)
     assert ranked == [n for _, n in sorted(
@@ -498,7 +563,7 @@ _NEAR_MAX = st.sampled_from([0, 1, 4, 9, 9.5, 10, 10.0])
 def _assert_best_heads_ranking(row, lii, m, pool):
     # the simulator never puts a device in its own table
     assert m not in pool
-    device = NodeState(m, lii[m - 1], row, 1)
+    device = NodeState(m, lii[m - 1], row)
     table = _announcer_table([(-lii[k - 1], k) for k in pool], 1)
     ranked = _rank_candidates(device, table)
     assert ranked == [k for _, k in sorted(
@@ -578,7 +643,7 @@ def test_refused_run_is_passed_over_for_an_accepted_one():
     rows = [[0 if c == r else 1 for c in range(7)] for r in range(7)]
     rows[6] = [10, 5, 5, 0, 0, 10, 0]
     inst = Instance(7, lii, tuple(map(tuple, rows)))
-    device = NodeState(7, 0, inst.lxi[6], 1)
+    device = NodeState(7, 0, inst.lxi[6])
     table = _announcer_table([(-inst.lii_of(n), n) for n in range(1, 7)], 1)
     assert [run[1] for run in table] == [(4, 5), (2, 3), (1, 6)]
     assert _rank_candidates(device, table) == [1, 2, 3, 6]
@@ -588,8 +653,8 @@ def test_refused_run_is_passed_over_for_an_accepted_one():
 @st.composite
 def episodes(draw):
     inst = draw(instances())
-    caps = draw(st.none() | st.dictionaries(
-        st.sampled_from(inst.ue_ids), st.integers(0, 3)))
+    caps = draw(st.none() | st.dictionaries(  # node 0 included
+        st.integers(0, inst.n), st.integers(0, 3)))
     incentive = draw(st.none() | st.just(IncentivePolicy(4, 0.5)))
     cfg = ProtocolConfig(rho=draw(st.integers(0, 10)),
                          transport=draw(st.sampled_from([BROADCAST, P2P])),

@@ -355,7 +355,8 @@ def check_caps(caps: Mapping, name=repr) -> None:
 
 
 def nobody_willing(inst: Instance) -> bool:
-    """Case 1 (Scenario 3 of the protocol): no regular UE has lii > 0."""
+    """Case 1: no regular UE has lii > 0 (the protocol's Scenario 3 when,
+    in addition, no regular UE clears rho)."""
     return max(inst.lii[1 - inst.node_ids.start:]) <= 0
 
 

@@ -6,9 +6,10 @@ Phase 2: announcers that attracted nobody convert to followers and pick
 among the leaders that did. A capacity-limited variant answers requests
 with ACK/NACK and followers retry down their candidate list.
 ``run_episode`` takes three steps once each, in order: in Scenario 3 (no
-UE willing to lead) an incentive offer that may raise some lii; both
-phases; and the edge-server offer to the UEs still without a role, which
-node 0 makes and serves through the same device steps as any leader.
+UE willing to lead, and none clearing the threshold) an incentive offer
+that may raise some lii; both phases; and the edge-server offer to the UEs
+still without a role, which node 0 makes and serves through the same
+device steps as any leader.
 
 A device is one ``NodeState``: its id, its own scores (lii and its stored
 lxi row) and its protocol state. It has five steps, each seeing only
@@ -35,11 +36,11 @@ rest from the same table only when that one answers NACK.
 
 An episode keeps one message log, its ``Batch``es in send order: one per
 announcement round, one for the requests and one for the replies of each
-phase and round, and, logged last, the edge-server offer and its requests
-and ACKs. Messages are counted per (phase, kind, transport) as they are
-sent. The per-message records are built only when
-``EpisodeOutcome.messages`` reads the log, and ``write_log`` formats their
-lines without building them.
+phase and round, and, logged last in the round after the protocol's last,
+the edge-server offer and its requests and replies. Messages are counted
+per (phase, kind, transport) as they are sent. The per-message records are
+built only when ``EpisodeOutcome.messages`` reads the log, and
+``write_log`` formats their lines without building them.
 """
 from __future__ import annotations
 
@@ -525,7 +526,7 @@ class EpisodeOutcome:
     log: MessageLog         # every message, the edge-server exchange last
     protocol_messages: int  # phase 1 + 2 traffic, before that exchange
     scenario: Optional[str]
-    rounds: int
+    rounds: int             # protocol rounds, before that exchange
     leader_set_phase1: frozenset
     effective_instance: Instance
 
@@ -572,18 +573,19 @@ class EpisodeOutcome:
 
 
 def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
-                         log: MessageLog) -> tuple[Instance, dict]:
+                         log: MessageLog, rnd: int) -> tuple[Instance, dict]:
     """An episode's last step: the edge-server offer to ``unresolved``.
 
     With the edge-server policy on and some UE left without a role, node 0
     (attached with default scores when ``inst`` lacks it) takes its role
     and serves through the same device steps as any leader, so the
-    threshold and its cap hold. If its lii clears rho, it announces itself,
-    and it answers each such UE, in id order, whose own score toward node 0
-    is positive: ACK, or NACK beyond its cap. The exchange is appended to
-    ``log``. Otherwise nothing is sent and the UEs end isolated. Returns the
-    instance, holding node 0 when it made the offer, and the ``{ue: 0}``
-    follows it gained.
+    threshold and its cap hold. If its lii clears rho, it announces itself
+    to those UEs (one broadcast, or under p2p one message to each, in id
+    order), and it answers each of them, in id order, whose own score
+    toward node 0 is positive: ACK, or NACK beyond its cap. The exchange is
+    appended to ``log``, all of it in round ``rnd``. Otherwise nothing is
+    sent and the UEs end isolated. Returns the instance, holding node 0
+    when it made the offer, and the ``{ue: 0}`` follows it gained.
     """
     if not (unresolved and cfg.edge_server_policy):
         return inst, {}
@@ -593,20 +595,23 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
     take_role(edge, cfg)
     if edge.role != CANDIDATE_LEADER:
         return inst, {}
-    log.add(2, 0, cfg.transport, [(ANNOUNCE, EDGE_SERVER_ID, None, edge.lii)])
+    ues = sorted(unresolved)
+    offer = [(ANNOUNCE, EDGE_SERVER_ID, None, edge.lii)]
+    log.add(2, rnd, cfg.transport, offer,
+            None if cfg.transport == BROADCAST else (EDGE_SERVER_ID, *ues))
     pairs = []
-    for m in sorted(unresolved):
+    for m in ues:
         if offered.lxi_of(m, EDGE_SERVER_ID) > 0:
             pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
                       (serve_request(edge, m), EDGE_SERVER_ID, m, None)]
-    log.add(2, 0, P2P, pairs)
+    log.add(2, rnd, P2P, pairs)
     return offered, dict.fromkeys(sorted(edge.followers), EDGE_SERVER_ID)
 
 
 def detect_scenario(inst: Instance, rho) -> Optional[str]:
-    if nobody_willing(inst):
-        return SCENARIO_3
     leaders = leader_candidates(inst, rho, inst.ue_ids)
+    if nobody_willing(inst) and not leaders:
+        return SCENARIO_3
     followers = set(inst.ue_ids).difference(leaders)
     if not followers:
         return SCENARIO_1
@@ -634,7 +639,7 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     sim = simulate_protocol(effective, cfg, rng)
     protocol_messages = len(sim.log)
     final, extra_follows = run_fallback_process(effective, cfg, sim.unresolved,
-                                                sim.log)
+                                                sim.log, sim.rounds + 1)
     leaders = set(sim.leaders) | set(extra_follows.values())
     follows = {**sim.follows, **extra_follows}
     isolated = set(final.node_ids) - leaders - set(follows)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import leadsel
 from leadsel import save_instance
-from leadsel.cli import COUNT_MAX_N, main
+from leadsel.cli import COUNT_MAX_N, GEN_MAX_N, main
 from leadsel.model import Instance
 
 
@@ -132,6 +132,18 @@ def test_gen_rejects_zero_n(runner, tmp_path):
     result = runner.invoke(main, ["gen", "--n", "0",
                                   "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_gen_refuses_n_above_its_budget(runner, tmp_path, json_errors):
+    out = tmp_path / "x.json"
+    argv = ["gen", "--n", str(GEN_MAX_N + 1), "--out", str(out)]
+    result = runner.invoke(main, ["--json-errors"] * json_errors + argv)
+    assert result.exit_code == 2
+    assert "--n" in result.output
+    if json_errors:
+        assert json.loads(result.output)["exit_code"] == 2
+    assert not out.exists()
 
 
 def test_gen_edge_server_flag(runner, tmp_path):

@@ -337,7 +337,7 @@ def test_edge_server_leads_only_in_the_exact_solver():
     cfg = ProtocolConfig(rho=0, edge_server_policy=True,
                          incentive_policy=IncentivePolicy(5, 0.0))
     log = MessageLog()
-    final, extra_follows = run_fallback_process(inst, cfg, {1, 2, 3}, log)
+    final, extra_follows = run_fallback_process(inst, cfg, {1, 2, 3}, log, 1)
     assert final is inst
     assert extra_follows == {1: 0, 2: 0, 3: 0}
     outcome = run_episode(inst, cfg, seed=0)
@@ -356,11 +356,12 @@ def test_edge_server_offer_respects_refusal():
 def test_fallback_message_accounting():
     inst = _scenario2_instance()
     cfg = ProtocolConfig(rho=0, edge_server_policy=True)
+    outcome = run_episode(inst, cfg, seed=0)
     log = MessageLog()
-    _, extra_follows = run_fallback_process(inst, cfg, {1, 2, 3}, log)
+    _, extra_follows = run_fallback_process(inst, cfg, {1, 2, 3}, log,
+                                            outcome.rounds + 1)
     # one offer plus request/ack per accepting UE
     assert len(log) == 1 + 2 * len(extra_follows)
-    outcome = run_episode(inst, cfg, seed=0)
     assert outcome.total_messages - outcome.protocol_messages == len(log)
     # the exchange is appended to the episode's one log, after the phases
     assert outcome.log.batches[-2:] == log.batches
@@ -426,9 +427,34 @@ def test_an_episode_without_candidates_has_no_rounds():
 
 def test_phases_run_below_a_negative_threshold_in_scenario3():
     outcome = run_episode(_ZERO_LII, ProtocolConfig(rho=-1), seed=0)
-    assert outcome.scenario == SCENARIO_3
+    assert outcome.scenario == SCENARIO_1
     assert outcome.leader_set_phase1 == {1, 2, 3}
     assert outcome.rounds == 1
+
+
+def test_no_incentive_offer_when_every_ue_clears_a_negative_threshold():
+    # nobody is willing to lead, but at rho = -1 every UE may: a Scenario 1
+    # shape, so the incentive offer is not made
+    cfg = ProtocolConfig(rho=-1, incentive_policy=IncentivePolicy(5, 1.0))
+    outcome = run_episode(_ZERO_LII, cfg, seed=0)
+    assert detect_scenario(_ZERO_LII, -1) == SCENARIO_1
+    assert outcome.scenario == SCENARIO_1
+    assert outcome.effective_instance.lii == (0, 0, 0)
+    assert outcome.leader_set_phase1 == {1, 2, 3}
+
+
+def test_edge_server_offer_goes_to_each_unresolved_ue_under_p2p():
+    # no UE scores UE 1, the only candidate, so all three are offered node 0
+    # in the round after the protocol's last
+    cfg = ProtocolConfig(rho=0, transport=P2P, edge_server_policy=True)
+    outcome = run_episode(_scenario2_instance(), cfg, seed=0)
+    assert outcome.rounds == 1
+    offers = [m for m in outcome.messages if m.kind == ANNOUNCE
+              and m.sender == 0]
+    assert [(m.receiver, m.round) for m in offers] == [(1, 2), (2, 2), (3, 2)]
+    assert outcome.message_counts[(2, ANNOUNCE, P2P)] == 3
+    assert {m.round for m in outcome.messages
+            if 0 in (m.sender, m.receiver)} == {2}
 
 
 @pytest.mark.parametrize("inst", [_scenario1_instance(), _scenario2_instance(),
@@ -676,8 +702,8 @@ _INT_AND_FLOAT_LII = Instance(3, (5, 5.0, 0),
 
 
 @pytest.mark.parametrize("feature", [
-    "broadcast", "fan-out", "nack", "edge-offer", "float-lii",
-    "lone-announcer", "int-and-float-lii"])
+    "broadcast", "fan-out", "nack", "edge-offer", "edge-offer-p2p",
+    "float-lii", "lone-announcer", "int-and-float-lii"])
 def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
     inst, cfg = {
         "broadcast": (instance_a, ProtocolConfig(rho=4)),
@@ -685,6 +711,8 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
         "nack": (generate_instance(30, 2), ProtocolConfig(
             rho=5, transport=P2P, caps={n: 1 for n in range(1, 31)})),
         "edge-offer": (_ZERO_LII, ProtocolConfig(edge_server_policy=True)),
+        "edge-offer-p2p": (_ZERO_LII, ProtocolConfig(
+            transport=P2P, edge_server_policy=True)),
         "float-lii": (_ZERO_LII, ProtocolConfig(
             incentive_policy=IncentivePolicy(0.5, 1.0))),
         "lone-announcer": (_LONE_ANNOUNCER, ProtocolConfig(transport=P2P)),
@@ -700,6 +728,8 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
         "nack": any(kind == NACK for _, (kind, _, _, _) in items),
         "edge-offer": any(sender == 0 and receiver is None
                           for _, (_, sender, receiver, _) in items),
+        "edge-offer-p2p": any(b.group == (0, 1, 2, 3) and sender == 0
+                              for b, (_, sender, _, _) in items),
         "float-lii": any(isinstance(lii, float)
                          for _, (_, _, _, lii) in items),
         "lone-announcer": outcome.leader_set_phase1 == {1}

@@ -27,9 +27,9 @@ EXIT_DEGENERATE = 4
 # a 2-core machine; from about n = 1,888 it has more than the 4,300 digits
 # str() will print.
 COUNT_MAX_N = 1000
-# `gen` needs about 36·N² bytes: at N = 3,000 it takes about 2.8 s and
-# 330 MB peak RSS on the same machine, and N = 20,000 would need about
-# 14 GB.
+# `gen` needs about 3·N² bytes over the interpreter's 24 MB: at N = 3,000
+# it takes 0.8 s CPU (1.5 s with --edge-server) and 50 MB peak RSS
+# in-process on the same machine, and N = 20,000 would need about 1.2 GB.
 GEN_MAX_N = 3000
 
 

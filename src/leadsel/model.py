@@ -41,13 +41,26 @@ def _check_score(value, field_path: str):
         raise InstanceFormatError(f"score {value!r} outside [0,10]", field_path)
 
 
-def _check_scores(values, field_path: str):
-    """``_check_score`` on each entry, in one pass when all are plain ints."""
+def _check_scores(values, field_path: str) -> bool:
+    """``_check_score`` on each entry, in one pass when all are plain ints;
+    True iff they are."""
     if (set(map(type, values)) == {int}
             and SCORE_MIN <= min(values) and max(values) <= SCORE_MAX):
-        return
+        return True
     for i, v in enumerate(values):
         _check_score(v, f"{field_path}[{i}]")
+    return False
+
+
+_INT_SCORES = bytes(range(SCORE_MIN, SCORE_MAX + 1))
+
+
+def _score_row(row, field_path: str):
+    """The checked ``row`` as stored: ``bytes`` when every score is a plain
+    int, else a tuple. A ``bytes`` row is checked with one ``translate``."""
+    if type(row) is bytes and not row.translate(None, _INT_SCORES):
+        return row
+    return bytes(row) if _check_scores(row, field_path) else tuple(row)
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,9 @@ class Instance:
 
     ``lii`` and ``lxi`` are stored row-major in id order; when the edge
     server is present, slot 0 comes first and both vectors grow by one.
+    ``lxi`` is a tuple of rows, each ``bytes`` when all its scores are
+    plain ints and a tuple otherwise, so equal scores make equal instances
+    however the rows were given.
     """
 
     n: int
@@ -78,10 +94,12 @@ class Instance:
                 raise InstanceFormatError(
                     f"row has {len(row)} entries, expected {size}", f"lxi[{r}]")
         _check_scores(self.lii, "lii")
+        rows = []
         for r, row in enumerate(self.lxi):
-            _check_scores(row, f"lxi[{r}]")
+            rows.append(row := _score_row(row, f"lxi[{r}]"))
             if row[r] != 0:
                 raise InstanceFormatError("diagonal must be zero", f"lxi[{r}][{r}]")
+        object.__setattr__(self, "lxi", tuple(rows))
         if self.has_edge_server:
             if self.lii[0] <= 0:
                 raise InstanceFormatError("edge server needs lii > 0", "lii[0]")
@@ -156,12 +174,7 @@ class Instance:
         if not isinstance(edge_server, bool):
             raise InstanceFormatError(
                 f"must be true or false, got {edge_server!r}", "edge_server")
-        return cls(
-            n=n,
-            lii=tuple(lii),
-            lxi=tuple(tuple(row) for row in lxi),
-            has_edge_server=edge_server,
-        )
+        return cls(n=n, lii=tuple(lii), lxi=lxi, has_edge_server=edge_server)
 
 
 def read_json(path):
@@ -186,17 +199,19 @@ def save_instance(inst: Instance, path) -> None:
     """Write ``inst`` as ``json.dump(inst.to_json_dict(), fh, indent=1,
     sort_keys=True)`` and a newline would, byte for byte.
 
-    The layout is formatted directly: ``json.dump`` with an indent always
-    runs the pure-Python encoder, which is slow over N * N scores.
+    The layout is formatted directly, one row at a time: ``json.dump`` with
+    an indent always runs the pure-Python encoder, which is slow over N * N
+    scores, and neither a list copy of the matrix nor the whole text is
+    built.
     """
-    d = inst.to_json_dict()
-    rows = ",\n  ".join("[\n   " + _json_items(row, ",\n   ") + "\n  ]"
-                        for row in d["lxi"])
     with open(path, "w") as fh:
-        fh.write('{\n "edge_server": %s,\n "lii": [\n  %s\n ],\n'
-                 ' "lxi": [\n  %s\n ],\n "n": %s\n}\n' % (
-                     json.dumps(d["edge_server"]),
-                     _json_items(d["lii"], ",\n  "), rows, json.dumps(d["n"])))
+        fh.write('{\n "edge_server": %s,\n "lii": [\n  %s\n ],\n "lxi": [' % (
+            json.dumps(inst.has_edge_server), _json_items(inst.lii, ",\n  ")))
+        sep = "\n  [\n   "
+        for row in inst.lxi:
+            fh.write(sep + _json_items(row, ",\n   "))
+            sep = "\n  ],\n  [\n   "
+        fh.write('\n  ]\n ],\n "n": %s\n}\n' % json.dumps(inst.n))
 
 
 # The text of every int score; ``Instance`` keeps scores in this range.
@@ -225,7 +240,7 @@ def generate_instance(n: int, seed: int,
     rows = []
     for r in range(n):
         p = n + r * (n - 1)  # row r's off-diagonal draws start here
-        rows.append(tuple(draws[p:p + r]) + (0,) + tuple(draws[p + r:p + n - 1]))
+        rows.append(draws[p:p + r] + b"\0" + draws[p + r:p + n - 1])
     inst = Instance(n=n, lii=tuple(draws[:n]), lxi=tuple(rows))
     if edge_server is not None:
         lii0, lxi_to_edge = edge_server
@@ -264,10 +279,10 @@ def attach_edge_server(inst: Instance, lii0,
     if len(lxi_to_edge) != inst.n:
         raise ModelError("lxi_to_edge needs one entry per regular UE")
     lii = (lii0,) + inst.lii
-    lxi = [(0,) * (inst.n + 1)]
-    for m in inst.ue_ids:
-        row = (lxi_to_edge[m - 1],) + tuple(inst.lxi[m - 1])
-        lxi.append(row)
+    lxi = [bytes(inst.n + 1)]
+    for m in inst.ue_ids:  # compacted one at a time, so no int tuples pile up
+        lxi.append(_score_row((lxi_to_edge[m - 1],) + tuple(inst.lxi[m - 1]),
+                              f"lxi[{m}]"))
     return Instance(n=inst.n, lii=lii, lxi=tuple(lxi), has_edge_server=True)
 
 

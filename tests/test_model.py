@@ -5,6 +5,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +68,8 @@ def test_generation_draws_what_randint_draws(n, seed):
     lxi = tuple(tuple(0 if c == r else rng.randint(0, 10) for c in range(n))
                 for r in range(n))
     inst = generate_instance(n, seed)
-    assert (inst.lii, inst.lxi) == (lii, lxi)
+    assert (inst.lii, tuple(map(tuple, inst.lxi))) == (lii, lxi)
+    assert all(type(r) is bytes for r in inst.lxi)
 
 
 def test_generate_rejects_bad_n():
@@ -93,11 +95,42 @@ def test_instance_rejects_out_of_range_score():
     (((0, 2), (3, 11)), "lxi[1][1]"),
     (((0, -1), (3, 0)), "lxi[0][1]"),
     (((0, "2"), (3, 0)), "lxi[0][1]"),
+    ((b"\x00\x0b", b"\x03\x00"), "lxi[0][1]"),
+    ([[0, 2], [300, 0]], "lxi[1][0]"),
+    ([[0, -1], [3, 0]], "lxi[0][1]"),
 ])
 def test_instance_diagnostic_names_the_bad_score(lxi, path):
     with pytest.raises(InstanceFormatError) as err:
         Instance(2, (1, 1), lxi)
     assert err.value.field_path == path
+
+
+def test_int_rows_are_stored_as_bytes_however_given():
+    given = [((0, 2), (3, 0)), [[0, 2], [3, 0]], (b"\x00\x02", b"\x03\x00")]
+    insts = [Instance(2, (1, 1), lxi) for lxi in given]
+    assert all(inst == insts[0] for inst in insts)
+    assert len({hash(inst) for inst in insts}) == 1
+    for inst in insts:
+        assert inst.lxi == (b"\x00\x02", b"\x03\x00")
+        assert inst.lxi_of(1, 2) == 2 and type(inst.lxi_of(1, 2)) is int
+
+
+def test_float_and_mixed_rows_stay_tuples():
+    inst = Instance(2, (1, 1), [[0, 2.5], [3.0, 0.0]])
+    assert inst.lxi == ((0, 2.5), (3.0, 0.0))
+    assert all(type(r) is tuple for r in inst.lxi)
+    assert Instance(2, (1, 1), ((0, 2.0), (3, 0))).lxi == ((0, 2.0), b"\x03\x00")
+
+
+def test_generated_instance_holds_one_byte_a_score():
+    tracemalloc.start()
+    try:
+        inst = generate_instance(1000, 0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.n == 1000
+    assert held < 2_000_000  # tuple rows of ints held about 7.7 MB
 
 
 def test_instance_accepts_real_scores():

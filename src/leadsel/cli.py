@@ -28,8 +28,8 @@ EXIT_DEGENERATE = 4
 # str() will print.
 COUNT_MAX_N = 1000
 # `gen` needs about 3·N² bytes over the interpreter's 24 MB: at N = 3,000
-# it takes 0.8 s CPU (1.5 s with --edge-server) and 50 MB peak RSS
-# in-process on the same machine, and N = 20,000 would need about 1.2 GB.
+# it takes about 0.9 s CPU, with or without --edge-server, and 50 MB peak
+# RSS in-process on the same machine, and N = 20,000 would need about 1.2 GB.
 GEN_MAX_N = 3000
 
 
@@ -234,7 +234,8 @@ def simulate(ctx, rho, rho_rule, transport, caps_path, edge_server, seed,
               default="broadcast", show_default=True)
 @click.option("--seed", type=int, default=None, help="Master seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes; 1 keeps timing columns bit-stable.")
+              help="Worker processes; reports are identical for any count, "
+              "timing columns aside.")
 @click.option("--timing-reps", type=click.IntRange(min=1), default=3,
               show_default=True, help="Wall-clock repetitions per solver.")
 @click.option("--out", type=click.Path(file_okay=False), required=True,

@@ -219,9 +219,9 @@ _INT_SCORE_TEXT = {v: str(v) for v in range(SCORE_MIN, SCORE_MAX + 1)}
 
 
 def _json_items(values, sep: str) -> str:
-    """The JSON texts of the scores ``values`` joined by ``sep``; a row of
-    plain ints skips the encoder."""
-    if set(map(type, values)) == {int}:
+    """The JSON texts of the scores ``values`` joined by ``sep``; a
+    ``bytes`` row, or any other row of plain ints, skips the encoder."""
+    if type(values) is bytes or set(map(type, values)) == {int}:
         return sep.join(map(_INT_SCORE_TEXT.__getitem__, values))
     return sep.join(map(json.dumps, values))
 
@@ -280,9 +280,12 @@ def attach_edge_server(inst: Instance, lii0,
         raise ModelError("lxi_to_edge needs one entry per regular UE")
     lii = (lii0,) + inst.lii
     lxi = [bytes(inst.n + 1)]
-    for m in inst.ue_ids:  # compacted one at a time, so no int tuples pile up
-        lxi.append(_score_row((lxi_to_edge[m - 1],) + tuple(inst.lxi[m - 1]),
-                              f"lxi[{m}]"))
+    for m in inst.ue_ids:
+        # the edge score is checked alone; joined to a stored row of the same
+        # type it keeps a bytes row bytes, without an int tuple in between
+        head = _score_row((lxi_to_edge[m - 1],), f"lxi[{m}]")
+        row = inst.lxi[m - 1]
+        lxi.append(head + row if type(head) is type(row) else (*head, *row))
     return Instance(n=inst.n, lii=lii, lxi=tuple(lxi), has_edge_server=True)
 
 

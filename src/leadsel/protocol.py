@@ -357,61 +357,41 @@ class MessageLog:
                                           transport, lii)
 
 
-_LOG_LINE = ('{"kind": %s, %s"phase": %s, "receiver": %s, "round": %s, '
-             '"sender": %s, "transport": %s}\n')
-
-
 def _json_lines(batches: Iterable):
     """The log lines of the ``MessageLog`` batches ``batches``.
 
     Each message's line is ``json.dumps(msg.to_json_dict(), sort_keys=True)``
-    and a newline, byte for byte, formatted from one template. Ints and None
-    skip the encoder, and each string is encoded once. A batch formats one
-    line per kind with its phase, round and transport filled in, and fills
-    in only the receiver and sender of an item without lii (a request or a
-    reply, so both are int ids). An item with lii is formatted on its own.
+    and a newline, byte for byte, for the values a message holds: kinds and
+    transports are this module's constants, which JSON quotes as they are;
+    phases, rounds and ids are ints; and lii is an int or a float. A batch
+    formats one template with its phase, round and transport, and from it
+    one line per kind that takes the receiver and sender of an item without
+    lii (a request or a reply). An item with lii fills the template itself.
     An item sent to a group is formatted once, split around its receiver,
     and yields the lines of all its recipients as one string.
     """
-    strings: dict = {}
-
-    def enc(v) -> str:
-        if v.__class__ is int:
-            return str(v)
-        if v is None:
-            return "null"
-        if v.__class__ is str:
-            text = strings.get(v)
-            if text is None:
-                text = strings[v] = json.dumps(v)
-            return text
-        return json.dumps(v, sort_keys=True)
-
-    def line(kind: str, lii, phase: int, rnd: int, transport: str,
-             receiver: str, sender: str) -> str:
-        lii = "" if lii is None else '"lii": ' + enc(lii) + ", "
-        return _LOG_LINE % (enc(kind), lii, enc(phase), receiver, enc(rnd),
-                            sender, enc(transport))
-
     for phase, rnd, transport, items, group in batches:
+        # kinds and transports hold no '"', "\\" or "%"
+        line = ('{"kind": "%%s", %%s"phase": %d, "receiver": %%s, '
+                '"round": %d, "sender": %%s, "transport": "%s"}\n'
+                % (phase, rnd, transport))
         if group is None:
-            # kinds and transports hold no "%"
-            lines = {kind: line(kind, None, phase, rnd, transport, "%d", "%d")
+            lines = {kind: line % (kind, "", "%d", "%d")
                      for kind in set(map(itemgetter(0), items))}
             yield "".join([
-                lines[kind] % (receiver, sender)
-                if lii is None else
-                line(kind, lii, phase, rnd, transport, enc(receiver),
-                     enc(sender))
+                lines[kind] % (receiver, sender) if lii is None else
+                line % (kind, '"lii": %s, ' % (
+                    lii if lii.__class__ is int else json.dumps(lii)),
+                    "null" if receiver is None else receiver, sender)
                 for kind, sender, receiver, lii in items])
         else:
-            texts = [enc(r) for r in group]
+            texts = list(map(str, group))
             at = {r: i for i, r in enumerate(group)}
             for kind, sender, _, lii in items:
-                # the encoder escapes control characters, so NUL marks the
-                # receiver
-                head, tail = line(kind, lii, phase, rnd, transport, "\0",
-                                  enc(sender)).split("\0")
+                lii = "" if lii is None else '"lii": %s, ' % (
+                    lii if lii.__class__ is int else json.dumps(lii))
+                # no value of a line holds NUL, so it marks the receiver
+                head, tail = (line % (kind, lii, "\0", sender)).split("\0")
                 i = at.get(sender)
                 rest = texts if i is None else texts[:i] + texts[i + 1:]
                 yield head + (tail + head).join(rest) + tail

@@ -391,7 +391,7 @@ def test_leader_candidates_refuses_ids_outside_the_instance(instance_a):
     assert leader_candidates(edge, 0, [0, 1]) == [0, 1]
 
 
-_SCORES = st.one_of(st.integers(0, 10), st.sampled_from([0.5, 2.5, 9.5]))
+_ROW_SCORES = st.one_of(st.integers(0, 10), st.sampled_from([0.5, 2.5, 9.5]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,14 +399,14 @@ _SCORES = st.one_of(st.integers(0, 10), st.sampled_from([0.5, 2.5, 9.5]))
 def test_row_reads_equal_the_by_id_formulas(data):
     # plain instances store id n at row n - 1, edge-server ones at row n
     n = data.draw(st.integers(1, 7))
-    lii = tuple(data.draw(st.lists(_SCORES, min_size=n, max_size=n)))
-    lxi = tuple(tuple(0 if c == r else data.draw(_SCORES) for c in range(n))
-                for r in range(n))
+    lii = tuple(data.draw(st.lists(_ROW_SCORES, min_size=n, max_size=n)))
+    lxi = tuple(tuple(0 if c == r else data.draw(_ROW_SCORES)
+                      for c in range(n)) for r in range(n))
     inst = Instance(n, lii, lxi)
     if data.draw(st.booleans()):
         inst = attach_edge_server(
             inst, data.draw(st.sampled_from([1, 9.5, 10])),
-            data.draw(st.lists(_SCORES, min_size=n, max_size=n)))
+            data.draw(st.lists(_ROW_SCORES, min_size=n, max_size=n)))
     nodes = list(inst.node_ids)
     leaders = data.draw(st.sets(st.sampled_from(nodes)))
     follows = {m: data.draw(st.sampled_from(sorted(leaders)))
@@ -475,3 +475,12 @@ def test_attach_edge_server_validates_inputs(instance_a):
         attach_edge_server(instance_a, 0, [1, 1, 1])
     with pytest.raises(ModelError):
         attach_edge_server(instance_a, 10, [1, 1])
+    # a bad edge score is named at its place in its UE's row
+    for bad in (11, True, "a"):
+        with pytest.raises(InstanceFormatError) as err:
+            attach_edge_server(instance_a, 10, [1, bad, 1])
+        assert err.value.field_path == "lxi[2][0]"
+    # a float edge score makes its row a tuple; the others stay bytes
+    inst = attach_edge_server(instance_a, 10, [1, 0.5, 1])
+    assert [type(row) for row in inst.lxi] == [bytes, bytes, tuple, bytes]
+    assert inst.lxi[2] == (0.5, 6, 0, 2)

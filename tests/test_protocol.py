@@ -703,7 +703,8 @@ _INT_AND_FLOAT_LII = Instance(3, (5, 5.0, 0),
 
 @pytest.mark.parametrize("feature", [
     "broadcast", "fan-out", "nack", "edge-offer", "edge-offer-p2p",
-    "float-lii", "lone-announcer", "int-and-float-lii"])
+    "float-lii", "float-lii-p2p", "nack-broadcast", "lone-announcer",
+    "int-and-float-lii"])
 def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
     inst, cfg = {
         "broadcast": (instance_a, ProtocolConfig(rho=4)),
@@ -715,6 +716,10 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
             transport=P2P, edge_server_policy=True)),
         "float-lii": (_ZERO_LII, ProtocolConfig(
             incentive_policy=IncentivePolicy(0.5, 1.0))),
+        "float-lii-p2p": (_ZERO_LII, ProtocolConfig(
+            transport=P2P, incentive_policy=IncentivePolicy(0.5, 1.0))),
+        "nack-broadcast": (generate_instance(30, 2), ProtocolConfig(
+            rho=5, caps={n: 1 for n in range(1, 31)})),
         "lone-announcer": (_LONE_ANNOUNCER, ProtocolConfig(transport=P2P)),
         "int-and-float-lii": (_INT_AND_FLOAT_LII, ProtocolConfig(rho=4)),
     }[feature]
@@ -732,6 +737,11 @@ def test_write_log_bytes_equal_json_dumps(tmp_path, instance_a, feature):
                               for b, (_, sender, _, _) in items),
         "float-lii": any(isinstance(lii, float)
                          for _, (_, _, _, lii) in items),
+        "float-lii-p2p": any(b.group is not None and isinstance(lii, float)
+                             for b, (_, _, _, lii) in items),
+        "nack-broadcast": any(kind == NACK for _, (kind, _, _, _) in items)
+        and any(b.transport == BROADCAST and lii is not None
+                for b, (_, _, _, lii) in items),
         "lone-announcer": outcome.leader_set_phase1 == {1}
         and outcome.assignment.leaders == {1},
         "int-and-float-lii": [(lii, lii.__class__) for b, (_, _, _, lii)

@@ -13,7 +13,6 @@ from .model import (
     feasibility_scan,
     generate_instance,
     leader_candidates,
-    li_score,
     load_instance,
     nobody_willing,
     save_instance,
@@ -36,7 +35,6 @@ from .protocol import (
     IncentivePolicy,
     ProtocolConfig,
     ProtocolViolation,
-    choose_leader,
     run_episode,
     run_fallback_process,
 )

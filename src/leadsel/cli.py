@@ -15,7 +15,8 @@ import click
 
 from . import harness, model, protocol
 from .counting import count_configs_distributed_bound, count_configs_exhaustive
-from .exhaustive import Infeasible, LimitExceeded, solve_exhaustive
+from .exhaustive import (CONFIG_BUDGET, HARD_LIMIT, Infeasible, LimitExceeded,
+                         solve_exhaustive)
 from .model import check_constraints, feasibility_scan
 
 EXIT_IO = 1
@@ -31,6 +32,10 @@ COUNT_MAX_N = 1000
 # it takes about 0.9 s CPU, with or without --edge-server, and 50 MB peak
 # RSS in-process on the same machine, and N = 20,000 would need about 1.2 GB.
 GEN_MAX_N = 3000
+# `bench` solves each instance uncapacitated, so N stops where the exact
+# search's configuration budget does (N = 13).
+BENCH_MAX_N = max(n for n in range(1, HARD_LIMIT + 1)
+                  if count_configs_exhaustive(n) <= CONFIG_BUDGET)
 
 
 def _fail(ctx, code: int, message: str, **extra):
@@ -224,7 +229,8 @@ def simulate(ctx, rho, rho_rule, transport, caps_path, edge_server, seed,
 
 
 @main.command()
-@click.option("--n", "n_values", type=int, multiple=True, required=True,
+@click.option("--n", "n_values", type=click.IntRange(min=1, max=BENCH_MAX_N),
+              multiple=True, required=True,
               help="Device count; repeat for a grid.")
 @click.option("--instances", type=click.IntRange(min=1), default=100,
               show_default=True)

@@ -217,19 +217,18 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
 
     eligible = [n for n in leader_candidates(inst, rho)
                 if caps.get(n, inst.node_count) >= 1]
-    if not eligible:
+    kmax = min(inst.node_count // 2, len(eligible))
+    if not kmax:
         return 0
-    kmax = inst.node_count // 2
-    lii = {n: inst.lii_of(n) for n in inst.node_ids}
-    lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
-    big = sum(lii.values()) + sum(sum(r.values()) for r in lxi.values()) + 1
+    off, lii, lxi = inst.node_ids.start, inst.lii, inst.lxi
+    big = sum(lii) + sum(map(sum, lxi)) + 1
 
     # scores[m][e] is UE m's score toward eligible leader e, or 0 where m
     # refuses it; row 0 (the edge server, which never follows) is all 0.
     ues = [m for m in inst.node_ids if m != EDGE_SERVER_ID]
     scores = [[0] * len(eligible)]
-    scores += [[v if (v := lxi[m].get(l, 0)) > 0 else 0 for l in eligible]
-               for m in ues]
+    scores += [[v if (v := lxi[m - off][l - off]) > 0 else 0
+                for l in eligible] for m in ues]
     limits = [caps.get(l, len(ues)) for l in eligible]
 
     # Every cost matrix is a slice of one table. Row m is UE m; columns 2e
@@ -253,11 +252,11 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     # the sum of each other UE's best score toward the set.
     positive = np.array(scores, dtype=float)
     ids = np.array(eligible)
-    lii_e = np.array([lii[l] for l in eligible], dtype=float)
+    lii_e = np.array([lii[l - off] for l in eligible], dtype=float)
     top_e = np.array([np.sort(positive[:, e])[::-1][:limit].sum()
                       for e, limit in enumerate(limits)])
     sets, bounds = [], []
-    for k in range(1, min(kmax, len(eligible)) + 1):
+    for k in range(1, kmax + 1):
         combos = list(combinations(range(len(eligible)), k))
         idx = np.fromiter(chain.from_iterable(combos), np.intp,
                           len(combos) * k).reshape(-1, k)
@@ -305,8 +304,8 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
                 mandatory_filled += c % 2 == 0
         if mandatory_filled < k:
             continue  # some leader cannot receive any follower
-        util = sum(lii[l] for l in leaders)
-        util += sum(lxi[m][l] for m, l in follows.items())
+        util = sum(lii[l - off] for l in leaders)
+        util += sum(lxi[m - off][l - off] for m, l in follows.items())
         best.offer(util, leaders, follows)
     return len(sets)
 

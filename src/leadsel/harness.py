@@ -130,9 +130,7 @@ class ReportRow:
     gap_pct: float
     mean_l_dist: float
     mean_l_opt: float
-    msgs_min: int
     msgs_mean: float
-    msgs_max: int
     msgs_bound: float
     t_dist_us: float
     t_opt_us: float
@@ -271,7 +269,6 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
             for rho in cfg.rho_values:
                 eps = [r["episodes"][(mode, rho)] for r in results]
                 mean_dist = statistics.fmean(e["utility"] for e in eps)
-                msgs = [e["msgs"] for e in eps]
                 t_dist_us = statistics.fmean(e["t_dist"] for e in eps) * 1e6
                 gap = ((mean_dist - mean_opt) / mean_opt * 100.0
                        if mean_opt else 0.0)
@@ -281,8 +278,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
                     gap_pct=gap,
                     mean_l_dist=statistics.fmean(e["leaders"] for e in eps),
                     mean_l_opt=statistics.fmean(opt_sizes),
-                    msgs_min=min(msgs), msgs_mean=statistics.fmean(msgs),
-                    msgs_max=max(msgs),
+                    msgs_mean=statistics.fmean(e["msgs"] for e in eps),
                     msgs_bound=statistics.fmean(e["bound"] for e in eps),
                     t_dist_us=t_dist_us, t_opt_us=t_opt_us,
                     speedup=t_opt_us / t_dist_us if t_dist_us else float("inf"),

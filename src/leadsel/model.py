@@ -378,13 +378,6 @@ def nobody_willing(inst: Instance) -> bool:
     return max(inst.lii[1 - inst.node_ids.start:]) <= 0
 
 
-def li_score(inst: Instance, m: int, n: int):
-    """Ranking score a prospective follower m gives to candidate leader n."""
-    if m == n:
-        raise ModelError("li_score is undefined for m == n")
-    return inst.lii_of(n) + inst.lxi_of(m, n)
-
-
 @dataclass(frozen=True)
 class ConstraintReport:
     """The ``(code, node)`` violations in check order: C1, C2, C3, C2Lim."""

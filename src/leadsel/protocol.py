@@ -159,15 +159,6 @@ class NodeState:
     leader: Optional[int] = None
 
 
-def choose_leader(inst: Instance, m: int, candidates: Iterable[int]) -> Optional[int]:
-    """Best candidate for ``m`` by combined score, refusing anyone scored
-    zero. ``m`` itself is never chosen."""
-    off = inst.node_ids.start
-    device = NodeState(m, inst.lii_of(m), inst.lxi[m - off])
-    return _best_candidate(device, _announcer_table(
-        [(-inst.lii_of(n), n) for n in candidates if n != m], off))
-
-
 def _announcer_table(announcers: Iterable, offset: int) -> list:
     """The ``(-lii, id)`` announcer pairs as runs of equal lii.
 
@@ -561,11 +552,12 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
     and serves through the same device steps as any leader, so the
     threshold and its cap hold. If its lii clears rho, it announces itself
     to those UEs (one broadcast, or under p2p one message to each, in id
-    order), and it answers each of them, in id order, whose own score
-    toward node 0 is positive: ACK, or NACK beyond its cap. The exchange is
-    appended to ``log``, all of it in round ``rnd``. Otherwise nothing is
-    sent and the UEs end isolated. Returns the instance, holding node 0
-    when it made the offer, and the ``{ue: 0}`` follows it gained.
+    order). Each of them, in id order, decides with ``request_best`` on its
+    own device, as for any announcer, and node 0 answers each request: ACK,
+    or NACK beyond its cap. The exchange is appended to ``log``, all of it
+    in round ``rnd``. Otherwise nothing is sent and the UEs end isolated.
+    Returns the instance, holding node 0 when it made the offer, and the
+    ``{ue: 0}`` follows it gained.
     """
     if not (unresolved and cfg.edge_server_policy):
         return inst, {}
@@ -579,9 +571,11 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
     offer = [(ANNOUNCE, EDGE_SERVER_ID, None, edge.lii)]
     log.add(2, rnd, cfg.transport, offer,
             None if cfg.transport == BROADCAST else (EDGE_SERVER_ID, *ues))
+    table = _announcer_table([(-edge.lii, EDGE_SERVER_ID)], 0)
     pairs = []
     for m in ues:
-        if offered.lxi_of(m, EDGE_SERVER_ID) > 0:
+        if request_best(NodeState(m, offered.lii[m], offered.lxi[m]),
+                        table) is not None:
             pairs += [(FOLLOW_REQUEST, m, EDGE_SERVER_ID, None),
                       (serve_request(edge, m), EDGE_SERVER_ID, m, None)]
     log.add(2, rnd, P2P, pairs)

@@ -11,7 +11,9 @@ from click.testing import CliRunner
 
 import leadsel
 from leadsel import save_instance
-from leadsel.cli import COUNT_MAX_N, GEN_MAX_N, main
+from leadsel.cli import BENCH_MAX_N, COUNT_MAX_N, GEN_MAX_N, main
+from leadsel.counting import count_configs_exhaustive
+from leadsel.exhaustive import CONFIG_BUDGET
 from leadsel.model import Instance
 
 
@@ -146,6 +148,26 @@ def test_gen_refuses_n_above_its_budget(runner, tmp_path, json_errors):
     assert not out.exists()
 
 
+def test_bench_n_stops_at_the_config_budget():
+    assert BENCH_MAX_N == 13
+    assert (count_configs_exhaustive(BENCH_MAX_N) <= CONFIG_BUDGET
+            < count_configs_exhaustive(BENCH_MAX_N + 1))
+
+
+@pytest.mark.parametrize("n", [0, BENCH_MAX_N + 1])
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_bench_refuses_n_outside_its_budget(runner, tmp_path, n, json_errors):
+    out = tmp_path / "report"
+    argv = ["bench", "--n", "3", "--n", str(n), "--instances", "1",
+            "--rho", "0", "--timing-reps", "1", "--out", str(out)]
+    result = runner.invoke(main, ["--json-errors"] * json_errors + argv)
+    assert result.exit_code == 2
+    assert "--n" in result.output
+    if json_errors:
+        assert json.loads(result.output)["exit_code"] == 2
+    assert not out.exists()
+
+
 def test_gen_edge_server_flag(runner, tmp_path):
     out = tmp_path / "e.json"
     result = runner.invoke(main, ["gen", "--n", "3", "--seed", "1",
@@ -212,6 +234,21 @@ def test_solve_over_the_config_budget_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     assert ("error: 14 nodes need 3144297352 configurations, over the budget "
             "of 337611001") in result.output
+
+
+@pytest.mark.parametrize("mode, code", [("relaxed", 0), ("strict", 3)])
+def test_solve_with_caps_on_a_single_ue(runner, tmp_path, mode, code):
+    path, caps = tmp_path / "n1.json", tmp_path / "caps.json"
+    save_instance(Instance(1, (5,), ((0,),)), path)
+    caps.write_text("{}")
+    result = runner.invoke(main, ["solve", "--mode", mode, "--caps",
+                                  str(caps), str(path)])
+    assert result.exit_code == code
+    if code == 0:
+        payload = json.loads(result.output)
+        assert (payload["utility"], payload["isolated"]) == (0, [1])
+    else:
+        assert "no feasible leader set" in result.output
 
 
 def test_solve_missing_file(runner, tmp_path):

@@ -45,6 +45,18 @@ def test_single_ue_is_infeasible_strict():
     assert sol.assignment.leaders == frozenset()
 
 
+@pytest.mark.parametrize("caps", [{}, {1: 2}])
+def test_single_ue_with_caps_matches_the_uncapped_search(caps):
+    # the lone UE clears rho, but no leader set fits in one node
+    inst = Instance(1, (5,), ((0,),))
+    with pytest.raises(Infeasible):
+        solve_exhaustive(inst, 0, caps=caps, mode="strict")
+    sol = solve_exhaustive(inst, 0, caps=caps)
+    assert sol.utility == 0
+    assert sol.assignment == solve_exhaustive(inst, 0).assignment
+    assert sol.configs_visited == 0
+
+
 def test_all_zero_lii():
     inst = Instance(3, (0, 0, 0), ((0, 5, 5), (5, 0, 5), (5, 5, 0)))
     with pytest.raises(Infeasible):
@@ -299,7 +311,7 @@ def test_capacitated_oracle_equivalence_mixed_caps(data):
     # per-node caps of 0..3 or none at all, an optional edge server, both
     # modes; up to 7 nodes, the oracle's limit
     edge = data.draw(st.booleans(), label="edge")
-    n = data.draw(st.integers(min_value=2, max_value=6 if edge else 7),
+    n = data.draw(st.integers(min_value=1, max_value=6 if edge else 7),
                   label="n")
     inst = generate_instance(n, data.draw(st.integers(), label="seed"),
                              edge_server=(10, [1] * n) if edge else None)

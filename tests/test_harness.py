@@ -151,7 +151,6 @@ def test_benchmark_row_grid(small_report):
     assert {r.rho for r in report.rows} == {0, 3, 5}
     for row in report.rows:
         assert row.gap_pct <= 0.0 + 1e-9
-        assert row.msgs_min <= row.msgs_mean <= row.msgs_max
         assert row.msgs_mean <= row.msgs_bound
 
 

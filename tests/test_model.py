@@ -19,7 +19,6 @@ from leadsel import (
     feasibility_scan,
     generate_instance,
     leader_candidates,
-    li_score,
     load_instance,
     nobody_willing,
     save_instance,
@@ -275,16 +274,6 @@ def test_utility_equals_manual_sum(n, seed):
     expected = inst.lii_of(leader) + sum(
         inst.lxi_of(m, leader) for m in follows)
     assert utility(inst, a) == expected
-
-
-def test_li_score_worked_values(instance_a):
-    assert li_score(instance_a, 2, 1) == 13  # 7 + 6
-    assert li_score(instance_a, 2, 3) == 7   # 5 + 2
-
-
-def test_li_score_rejects_self(instance_a):
-    with pytest.raises(ModelError):
-        li_score(instance_a, 1, 1)
 
 
 # -- assignment structure -----------------------------------------------------

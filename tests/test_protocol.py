@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from leadsel import (
     ProtocolViolation,
     attach_edge_server,
     check_constraints,
-    choose_leader,
     derive_seed,
     generate_instance,
     leader_candidates,
@@ -49,6 +49,7 @@ from leadsel.protocol import (
     _announcer_table,
     _best_candidate,
     _rank_candidates,
+    close_phase1,
     detect_scenario,
     request_best,
     serve_request,
@@ -77,18 +78,27 @@ def _scenario3_instance(n=3):
 
 # -- ranking ------------------------------------------------------------------
 
+def _request(inst, m, candidates):
+    """Whom UE ``m``'s device requests from an announcer table of
+    ``candidates``."""
+    off = inst.node_ids.start
+    device = NodeState(m, inst.lii[m - off], inst.lxi[m - off])
+    return request_best(device, _announcer_table(
+        [(-inst.lii[n - off], n) for n in candidates], off))
+
+
 def test_choose_leader_prefers_combined_score(instance_a):
-    assert choose_leader(instance_a, 2, {1, 3}) == 1  # LI 13 vs 7
+    assert _request(instance_a, 2, {1, 3}) == 1  # LI 13 vs 7
 
 
 def test_choose_leader_refuses_zero_scores():
     inst = Instance(3, (9, 9, 0), ((0, 1, 1), (1, 0, 1), (0, 0, 0)))
-    assert choose_leader(inst, 3, {1, 2}) is None
+    assert _request(inst, 3, {1, 2}) is None
 
 
 def test_choose_leader_tie_breaks_to_lower_id():
     inst = Instance(3, (5, 5, 0), ((0, 1, 1), (1, 0, 1), (3, 3, 0)))
-    assert choose_leader(inst, 3, {1, 2}) == 1
+    assert _request(inst, 3, {1, 2}) == 1
 
 
 # -- node state machine -------------------------------------------------------
@@ -563,21 +573,22 @@ def test_best_candidate_heads_the_full_ranking(inst, data):
         if inst.lxi_of(m, n) > 0)]
     head = ranked[0] if ranked else None
     assert _best_candidate(device, table) == head
-    assert choose_leader(inst, m, pool) == head
+    assert request_best(device, table) == head
+    assert device.announcers is (None if head is None else table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.data())
 def test_choose_leader_never_chooses_the_device(inst, data):
-    # choose_leader drops the device from its candidates, with or without
-    # an edge server
+    # a device scores itself zero, so a table that holds it (with or
+    # without an edge server) ranks as one that does not
     if data.draw(st.booleans()):
         inst = attach_edge_server(inst, 10, [1] * inst.n)
     m = data.draw(st.sampled_from(inst.ue_ids))
     pool = data.draw(st.sets(st.sampled_from(inst.node_ids))) | {m}
-    chosen = choose_leader(inst, m, pool)
+    chosen = _request(inst, m, pool)
     assert chosen != m
-    assert chosen == choose_leader(inst, m, pool - {m})
+    assert chosen == _request(inst, m, pool - {m})
 
 
 # Scores around SCORE_MAX: float and int tens, and lii values that give
@@ -631,7 +642,7 @@ def test_best_candidate_at_score_max_cases(row, lii, best):
 
 def _assert_chosen(inst, rho, follower, expected):
     candidates = [n for n in inst.ue_ids if inst.lii_of(n) > rho]
-    assert choose_leader(inst, follower, candidates) == expected
+    assert _request(inst, follower, candidates) == expected
     for transport in (BROADCAST, P2P):
         outcome = run_episode(inst, ProtocolConfig(rho=rho, transport=transport),
                               seed=0)
@@ -659,7 +670,7 @@ def test_runs_of_one_with_float_lii():
         rho=0.25, incentive_policy=IncentivePolicy(0.5, 1.0)), seed=0)
     effective = boosted.effective_instance
     assert effective.lii == (0.5, 0.5, 0.5)
-    assert choose_leader(effective, 1, [3]) == 3
+    assert _request(effective, 1, [3]) == 3
 
 
 def test_refused_run_is_passed_over_for_an_accepted_one():
@@ -814,6 +825,123 @@ def test_requests_are_bounded_by_ranked_candidates(episode):
         assert n in ranked and n != m and inst.lxi_of(m, n) > 0
     if cfg.caps is None:
         assert not any(m.kind == NACK for m in protocol)
+
+
+# -- privacy ------------------------------------------------------------------
+
+# A device reads scores in these steps, each with its NodeState as the local
+# ``device`` or ``state``.
+_DEVICE_STEPS = {f.__code__ for f in (
+    take_role, request_best, serve_request, take_reply, close_phase1,
+    _best_candidate, _rank_candidates)}
+# The readers that only build, label or evaluate an episode; instance
+# construction reads the rows it is given.
+_CENTRAL = {f.__code__: f.__name__ for f in (
+    detect_scenario, utility, attach_edge_server, Instance.__post_init__)}
+_PROTOCOL = {f.__code__: f.__name__ for f in (
+    simulate_protocol, run_fallback_process)}
+
+
+class _TrackedRow:
+    """A stored lxi row that records each read of its scores as ``(owner,
+    reader, central, within)``: the reader is the device whose step read
+    it (None outside a step), ``central`` the central reader on the stack
+    and ``within`` the protocol part running, each by name or None."""
+
+    def __init__(self, row, owner, reads):
+        self.row, self.owner, self.reads = row, owner, reads
+
+    def __len__(self):
+        return len(self.row)
+
+    def __getitem__(self, i):
+        self._record(sys._getframe(1))
+        return self.row[i]
+
+    def __iter__(self):
+        self._record(sys._getframe(1))
+        return iter(self.row)
+
+    def _record(self, frame):
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        reader = None
+        if frame.f_code in _DEVICE_STEPS:
+            local = frame.f_locals
+            reader = local.get("device", local.get("state")).id
+        central = within = None
+        while frame is not None:
+            central = central or _CENTRAL.get(frame.f_code)
+            within = within or _PROTOCOL.get(frame.f_code)
+            frame = frame.f_back
+        self.reads.append((self.owner, reader, central, within))
+
+
+def _track_rows(monkeypatch, reads):
+    # every instance built from here on stores tracked rows
+    post_init = Instance.__post_init__
+
+    def tracked(inst):
+        post_init(inst)
+        off = inst.node_ids.start
+        object.__setattr__(inst, "lxi", tuple(
+            _TrackedRow(row, r + off, reads) for r, row in enumerate(inst.lxi)))
+
+    monkeypatch.setattr(Instance, "__post_init__", tracked)
+
+
+def _privacy_episode(rng):
+    """A drawn instance of up to 12 UEs, some scores float, maybe holding
+    node 0, with a config under caps 0..3, the edge server and the
+    incentive."""
+    def score():
+        return rng.choice((0.5, 2.5, 9.5)) if rng.random() < 0.1 \
+            else rng.randint(0, 10)
+    n = rng.randint(1, 12)
+    inst = Instance(n, tuple(score() for _ in range(n)), tuple(
+        tuple(0 if c == r else score() for c in range(n)) for r in range(n)))
+    if rng.random() < 0.25:
+        inst = attach_edge_server(inst, rng.randint(1, 10),
+                                  [score() for _ in range(n)])
+    caps = None if rng.random() < 0.3 else {
+        m: rng.randint(0, 3) for m in inst.node_ids if rng.random() < 0.7}
+    return inst, dict(
+        rho=rng.randint(-1, 10), caps=caps,
+        edge_server_policy=rng.random() < 0.7,
+        incentive_policy=rng.choice((None, IncentivePolicy(4, 0.5))))
+
+
+def test_protocol_reads_each_row_only_in_its_owners_device_steps(monkeypatch):
+    # The abstract's privacy claim: during both phases and the edge-server
+    # offer, a device's scores are read only by the device itself. Only
+    # the named central readers read other rows.
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(2000):
+        inst, kw = _privacy_episode(rng)
+        seed = rng.getrandbits(32)
+        for transport in (BROADCAST, P2P):
+            cfg = ProtocolConfig(transport=transport, **kw)
+            expected = run_episode(inst, cfg, seed)
+            reads = []
+            with monkeypatch.context() as patch:
+                _track_rows(patch, reads)
+                tracked = Instance(inst.n, inst.lii, inst.lxi,
+                                   inst.has_edge_server)
+                outcome = run_episode(tracked, cfg, seed)
+            assert outcome.to_json_dict() == expected.to_json_dict()
+            assert outcome.message_counts == expected.message_counts
+            for owner, reader, central, within in reads:
+                if central is None:
+                    assert reader == owner, (
+                        f"row {owner} read by {reader} in {within}", inst, cfg)
+                elif within is not None:
+                    assert central == "attach_edge_server"
+                seen[central or within] += 1
+    # every reader the claim covers took part
+    assert set(seen) == {"simulate_protocol", "run_fallback_process",
+                         "detect_scenario", "utility", "attach_edge_server",
+                         "__post_init__"}
 
 
 # -- messages -----------------------------------------------------------------

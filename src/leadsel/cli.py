@@ -31,6 +31,7 @@ COUNT_MAX_N = 1000
 # `gen` needs about 3·N² bytes over the interpreter's 24 MB: at N = 3,000
 # it takes about 0.9 s CPU, with or without --edge-server, and 50 MB peak
 # RSS in-process on the same machine, and N = 20,000 would need about 1.2 GB.
+# Each file it writes fits the input-file budget, model._INPUT_MAX_BYTES.
 GEN_MAX_N = 3000
 # `bench` solves each instance uncapacitated, so N stops where the exact
 # search's configuration budget does (N = 13).
@@ -54,24 +55,19 @@ def _seed_default(seed):
     return int(env) if env else 0
 
 
-def _load_instance(ctx, path) -> model.Instance:
+def _read(ctx, kind: str, load, path):
     try:
-        return model.load_instance(path)
+        return load(path)
     except OSError as exc:
         _fail(ctx, EXIT_IO, f"cannot read {path}: {exc}")
     except model.InstanceFormatError as exc:
-        _fail(ctx, EXIT_USAGE, f"bad instance file {path}: {exc}")
+        _fail(ctx, EXIT_USAGE, f"bad {kind} file {path}: {exc}")
 
 
 def _load_caps(ctx, path, inst: model.Instance):
     if path is None:
         return None
-    try:
-        raw = model.read_json(path)
-    except OSError as exc:
-        _fail(ctx, EXIT_IO, f"cannot read {path}: {exc}")
-    except model.InstanceFormatError as exc:
-        _fail(ctx, EXIT_USAGE, f"bad caps file {path}: {exc}")
+    raw = _read(ctx, "caps", model.read_json, path)
     if not isinstance(raw, dict):
         _fail(ctx, EXIT_USAGE, f"caps file {path} must map ue-id to limit")
     caps, keys = {}, {}
@@ -104,8 +100,18 @@ def _threshold(ctx, rho: float):
 
 
 class _Main(click.Group):
-    """Under --json-errors, click's own usage errors (a bad option value,
-    an unknown command) go through ``_fail`` too, with their exit code."""
+    """Under --json-errors, click's usage errors (a bad value, an unknown
+    command or option) go through ``_fail`` too, with their exit code."""
+
+    def parse_args(self, ctx, args):
+        json_errors = "--json-errors" in args  # the parser consumes args
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            if not json_errors:
+                raise
+            ctx.params["json_errors"] = True  # the failed parse set no option
+            _fail(ctx, exc.exit_code, exc.format_message())
 
     def invoke(self, ctx):
         try:
@@ -163,7 +169,7 @@ def gen(ctx, n, seed, edge_server, out):
 def solve(ctx, rho, mode, caps_path, instance):
     """Solve an instance optimally by exhaustive search."""
     rho = _threshold(ctx, rho)
-    inst = _load_instance(ctx, instance)
+    inst = _read(ctx, "instance", model.load_instance, instance)
     caps = _load_caps(ctx, caps_path, inst)
     try:
         sol = solve_exhaustive(inst, rho, caps=caps, mode=mode)
@@ -209,7 +215,7 @@ def simulate(ctx, rho, rho_rule, transport, caps_path, edge_server, seed,
         _fail(ctx, EXIT_USAGE, "give exactly one of --rho or --rho-rule")
     if rho is not None:
         rho = _threshold(ctx, rho)
-    inst = _load_instance(ctx, instance)
+    inst = _read(ctx, "instance", model.load_instance, instance)
     caps = _load_caps(ctx, caps_path, inst)
     if rho_rule is not None:
         rho = harness.rho_rule(inst, rho_rule)
@@ -225,7 +231,8 @@ def simulate(ctx, rho, rho_rule, transport, caps_path, edge_server, seed,
     result["rho"] = rho
     click.echo(json.dumps(result, sort_keys=True))
     if strict_outcome and not outcome.assignment.leaders:
-        ctx.exit(EXIT_DEGENERATE)
+        _fail(ctx, EXIT_DEGENERATE,
+              "degenerate outcome: no leader, every node isolated")
 
 
 @main.command()

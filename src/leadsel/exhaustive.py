@@ -223,13 +223,12 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     off, lii, lxi = inst.node_ids.start, inst.lii, inst.lxi
     big = sum(lii) + sum(map(sum, lxi)) + 1
 
-    # scores[m][e] is UE m's score toward eligible leader e, or 0 where m
+    # positive[m, e] is UE m's score toward eligible leader e, 0 where m
     # refuses it; row 0 (the edge server, which never follows) is all 0.
-    ues = [m for m in inst.node_ids if m != EDGE_SERVER_ID]
-    scores = [[0] * len(eligible)]
-    scores += [[v if (v := lxi[m - off][l - off]) > 0 else 0
-                for l in eligible] for m in ues]
-    limits = [caps.get(l, len(ues)) for l in eligible]
+    ids = np.array(eligible)
+    positive = np.zeros((inst.n + 1, len(eligible)))
+    positive[off:] = np.array(list(map(list, lxi)), dtype=float)[:, ids - off]
+    limits = [caps.get(l, inst.n) for l in eligible]
 
     # Every cost matrix is a slice of one table. Row m is UE m; columns 2e
     # and 2e + 1 are eligible leader e's mandatory and optional slot, and
@@ -238,20 +237,15 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     # _min_cost_assignment breaks ties between equal matchings the same way
     # (last column first, a free column wins a tie).
     iso = 2 * len(eligible)
-    inf = float("inf")
-    table = {}
-    for m in ues:
-        row = []
-        for v in scores[m]:
-            row += (float(-(v + big)), float(-v)) if v > 0 else (inf, inf)
-        row.append(0.0)
-        table[m] = row
+    slots = np.repeat(positive, 2, axis=1)
+    table = np.zeros((inst.n + 1, iso + 1))
+    table[:, :iso] = np.where(slots > 0, -(slots + [big, 0] * len(eligible)),
+                              np.inf)
+    table = table.tolist()
 
     # A set's bound is its lii sum plus the smaller of two bounds on what
     # its followers add: the sum of each leader's cap largest scores, and
     # the sum of each other UE's best score toward the set.
-    positive = np.array(scores, dtype=float)
-    ids = np.array(eligible)
     lii_e = np.array([lii[l - off] for l in eligible], dtype=float)
     top_e = np.array([np.sort(positive[:, e])[::-1][:limit].sum()
                       for e, limit in enumerate(limits)])
@@ -280,7 +274,7 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
             break
         leaders = tuple(eligible[e] for e in sets[s])
         k = len(leaders)
-        rows = [m for m in ues if m not in leaders]
+        rows = [m for m in inst.ue_ids if m not in leaders]
         r = len(rows)
         if r < k:
             continue

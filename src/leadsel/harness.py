@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
@@ -73,9 +74,7 @@ class LeaderSizeStats:
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "LeaderSizeStats":
-        bins: dict = {}
-        for s in sizes:
-            bins[s] = bins.get(s, 0) + 1
+        bins = Counter(sizes)
         if not bins:
             raise ValueError("need at least one sample")
         return cls(dict(bins))
@@ -118,6 +117,11 @@ class ExperimentConfig:
             raise ValueError("n_values, rho_values and modes must be non-empty")
         if self.instances_per_n < 1:
             raise ValueError("instances_per_n must be >= 1")
+        if self.timing_reps < 1:
+            raise ValueError("timing_reps must be >= 1")
+        for mode in self.modes:
+            if mode not in (BROADCAST, P2P):
+                raise ValueError(f"unknown transport {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -207,30 +211,29 @@ class BenchmarkReport:
                     fh.write(f"{r.rho} {r.mean_l_dist:.4f} {r.mean_l_opt:.4f}\n")
 
 
-def _median_time(fn, reps: int) -> float:
-    """Median wall-clock seconds over ``reps`` calls."""
+def _timed(fn, reps: int) -> tuple:
+    """One call's result, and the median seconds of ``reps`` more calls."""
+    result = fn()
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return result, statistics.median(times)
 
 
 def _bench_instance(args):
     cfg, n, idx = args
     inst = generate_instance(n, derive_seed(cfg.master_seed, "inst", n, idx))
-    opt = solve_exhaustive(inst, cfg.optimal_rho)
-    t_opt = _median_time(lambda: solve_exhaustive(inst, cfg.optimal_rho),
-                         cfg.timing_reps)
+    opt, t_opt = _timed(lambda: solve_exhaustive(inst, cfg.optimal_rho),
+                        cfg.timing_reps)
     episodes = {}
     for mode in cfg.modes:
         for rho in cfg.rho_values:
             pcfg = ProtocolConfig(rho=rho, transport=mode)
             seed = derive_seed(cfg.master_seed, "ep", n, idx, rho, mode)
-            outcome = run_episode(inst, pcfg, seed)
-            t_dist = _median_time(lambda: run_episode(inst, pcfg, seed),
-                                  cfg.timing_reps)
+            outcome, t_dist = _timed(lambda: run_episode(inst, pcfg, seed),
+                                     cfg.timing_reps)
             l = len(outcome.leader_set_phase1)
             episodes[(mode, rho)] = {
                 "utility": outcome.utility,

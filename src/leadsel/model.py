@@ -8,6 +8,7 @@ integers in {0..10}.
 from __future__ import annotations
 
 import json
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,6 +21,10 @@ SCORE_MAX = 10
 EDGE_SERVER_ID = 0
 DEFAULT_EDGE_LII = 10
 DEFAULT_EDGE_LXI = 1
+# The input-file budget. The largest file `leadsel gen` writes (N = 3000,
+# cli.GEN_MAX_N, with node 0) holds 3001² scores of at most 7 bytes each
+# ("   10,\n") and a frame of a few bytes a row, about 63 MB.
+_INPUT_MAX_BYTES = 64 << 20
 
 
 class ModelError(ValueError):
@@ -179,7 +184,11 @@ class Instance:
 
 def read_json(path):
     """The JSON value of the UTF-8 file at ``path``. ``OSError`` passes
-    through; a file that does not parse raises ``InstanceFormatError``."""
+    through; a file over ``_INPUT_MAX_BYTES``, refused before it is opened,
+    or one that does not parse raises ``InstanceFormatError``."""
+    if (size := os.stat(path).st_size) > _INPUT_MAX_BYTES:
+        raise InstanceFormatError(
+            f"file has {size} bytes, over the budget of {_INPUT_MAX_BYTES}")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -153,7 +154,7 @@ class NodeState:
     # the announcer table of the node's first request
     announcers: Optional[list] = None
     # ids still to try, best last; None until the first NACK ranks them
-    leader_candidates: Optional[list] = None
+    untried: Optional[list] = None
     followers: Optional[set] = None
     capacity_remaining: Optional[int] = None
     leader: Optional[int] = None
@@ -206,18 +207,12 @@ def _best_candidate(device: NodeState, table: list) -> Optional[int]:
         if best is not None and neg - SCORE_MAX > best_key:
             break
         scores = read(row)
-        if SCORE_MAX in scores:
-            n = ids[scores.index(SCORE_MAX)]
-            if best is None or neg - SCORE_MAX < best_key:
-                return n
-            return min(best, n)
-        top = max(scores, default=0)
-        if top > 0:
-            key = neg - top
-            if best is None or key < best_key:
-                best, best_key = ids[scores.index(top)], key
-            elif key == best_key:
-                best = min(best, ids[scores.index(top)])
+        top = SCORE_MAX if SCORE_MAX in scores else max(scores)
+        key, n = neg - top, ids[scores.index(top)]
+        if top > 0 and (best is None or (key, n) < (best_key, best)):
+            best, best_key = n, key
+        if top == SCORE_MAX:
+            break
     return best
 
 
@@ -267,12 +262,12 @@ def take_reply(state: NodeState, kind: str, leader: int) -> Optional[int]:
         state.role = ASSIGNED_FOLLOWER
         state.leader = leader
         return None
-    if state.leader_candidates is None:
+    if state.untried is None:
         # the best candidate, just refused, heads the full ranking
-        state.leader_candidates = _rank_candidates(state, state.announcers)[:0:-1]
-    if not state.leader_candidates:
+        state.untried = _rank_candidates(state, state.announcers)[:0:-1]
+    if not state.untried:
         return None
-    return state.leader_candidates.pop()
+    return state.untried.pop()
 
 
 def close_phase1(state: NodeState) -> None:
@@ -303,33 +298,24 @@ class MessageLog:
     The messages themselves are built only when the log is read.
     """
     batches: list = field(default_factory=list)
-    tally: dict = field(default_factory=dict)
+    tally: Counter = field(default_factory=Counter)
 
     def add(self, phase: int, rnd: int, transport: str, items: list,
             group: Optional[Sequence] = None) -> None:
         """Log ``items`` as one ``Batch``. An item whose group holds no
         member but its sender sends nothing and is dropped."""
-        if not items:
-            return
         if group is None:
-            kinds = list(map(itemgetter(0), items))
-            counts = {kind: kinds.count(kind) for kind in dict.fromkeys(kinds)}
+            counts = Counter(map(itemgetter(0), items))
         else:
-            members = set(group)
-            size = len(group)
-            counts = {}
-            kept = []
-            for item in items:
-                k = size - (item[1] in members)
-                if k:
-                    kept.append(item)
-                    counts[item[0]] = counts.get(item[0], 0) + k
-            items = kept
+            members, size = set(group), len(group)
+            items = [item for item in items if size - (item[1] in members)]
+            counts = Counter()
+            for kind, sender, _, _ in items:
+                counts[kind] += size - (sender in members)
         if items:
             self.batches.append(Batch(phase, rnd, transport, items, group))
         for kind, k in counts.items():
-            key = (phase, kind, transport)
-            self.tally[key] = self.tally.get(key, 0) + k
+            self.tally[phase, kind, transport] += k
 
     def __len__(self) -> int:
         return sum(self.tally.values())

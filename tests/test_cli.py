@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import leadsel
-from leadsel import save_instance
+from leadsel import model, save_instance
 from leadsel.cli import BENCH_MAX_N, COUNT_MAX_N, GEN_MAX_N, main
 from leadsel.counting import count_configs_exhaustive
 from leadsel.exhaustive import CONFIG_BUDGET
@@ -320,6 +321,55 @@ def test_solve_rejects_unreadable_json(runner, instance_a_path, tmp_path,
     assert f"bad {kind} file" in result.output
 
 
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("kind", ["instance", "caps"])
+def test_input_file_over_the_budget_exits_2_unparsed(
+        runner, instance_a_path, tmp_path, monkeypatch, kind, json_errors):
+    budget = model._INPUT_MAX_BYTES
+    big = tmp_path / "big.json"
+    with open(big, "wb") as fh:
+        fh.truncate(budget + 1)  # sparse: no block is written
+    parsed, load = [], json.load
+
+    def recording_load(fh):
+        parsed.append(fh.name)
+        return load(fh)
+
+    monkeypatch.setattr(json, "load", recording_load)
+    error = (f"bad {kind} file {big}: file has {budget + 1} bytes, over the "
+             f"budget of {budget}")
+    args = [str(big)] if kind == "instance" else [
+        "--caps", str(big), instance_a_path]
+    for command in (["solve"], ["simulate", "--rho", "4"]):
+        result = runner.invoke(main, ["--json-errors"] * json_errors
+                               + command + args)
+        assert result.exit_code == 2
+        if json_errors:
+            assert json.loads(result.stderr) == {"error": error,
+                                                 "exit_code": 2}
+        else:
+            assert result.stderr == f"error: {error}\n"
+    # only the instance file of a caps case reaches the parser
+    assert parsed == ([] if kind == "instance" else [instance_a_path] * 2)
+
+
+def test_the_input_budget_admits_every_file_gen_writes(tmp_path):
+    # A file of N UEs and node 0 holds (N + 1)² scores of at most 7 bytes
+    # ("   10,\n"), at most 16 bytes of frame a row and 64 more; a file of
+    # the largest scores meets the bound.
+    def bound(n):
+        return 7 * (n + 1) ** 2 + 16 * (n + 1) + 64
+
+    for n in (1, 2, 9, 40):
+        tens = Instance(n, (10,) * (n + 1), ((0,) * (n + 1),) + tuple(
+            tuple(0 if c == r else 10 for c in range(n + 1))
+            for r in range(1, n + 1)), has_edge_server=True)
+        path = tmp_path / f"tens{n}.json"
+        save_instance(tens, path)
+        assert os.path.getsize(path) <= bound(n)
+    assert bound(GEN_MAX_N) <= model._INPUT_MAX_BYTES
+
+
 @pytest.mark.parametrize("caps, key", [
     ({"1": -3}, "'1'"),
     ({"4": 1}, "'4'"),
@@ -392,6 +442,7 @@ def test_solve_rejects_a_bad_edge_server(runner, tmp_path, lii0, row0,
     ["gen", "--n", "0", "--out", "x.json"],
     ["count"],
     ["no-such-command"],
+    ["--no-such-option"],
 ])
 def test_json_errors_cover_usage_errors(runner, argv):
     plain = runner.invoke(main, argv)
@@ -454,6 +505,24 @@ def test_simulate_strict_outcome_flags_degenerate(runner, zero_lii_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_strict_outcome_exit_gives_a_reason(runner, zero_lii_path,
+                                            json_errors):
+    argv = ["simulate", "--rho", "0", "--seed", "1", zero_lii_path]
+    plain = runner.invoke(main, argv)
+    assert plain.exit_code == 0
+    result = runner.invoke(main, ["--json-errors"] * json_errors + argv
+                           + ["--strict-outcome"])
+    assert result.exit_code == 4
+    # the outcome is still printed as without the flag
+    assert result.stdout == plain.stdout
+    error = "degenerate outcome: no leader, every node isolated"
+    if json_errors:
+        assert json.loads(result.stderr) == {"error": error, "exit_code": 4}
+    else:
+        assert result.stderr == f"error: {error}\n"
+
+
 def test_simulate_edge_server_rescue(runner, zero_lii_path):
     result = runner.invoke(main, ["simulate", "--rho", "0", "--seed", "1",
                                   "--edge-server", "--strict-outcome",
@@ -506,3 +575,129 @@ def test_count_up_to_its_limit(runner):
     result = runner.invoke(main, ["count", "--n", str(COUNT_MAX_N + 1)])
     assert result.exit_code == 2
     assert "--n" in result.output
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+def _fuzz_files(tmp_path, instance_a) -> dict:
+    """Paths by name: good and malformed instance and caps files, and paths
+    that cannot be read or written."""
+    text = {
+        "deep": "[" * 100000 + "]" * 100000,
+        "long-int": '{"n": ' + "7" * 5000 + "}",
+        "nan": '{"n": 2, "lii": [NaN, 1], "lxi": [[0, 1], [1, 0]]}',
+        "bool": '{"n": 2, "lii": [true, 1], "lxi": [[0, 1], [1, 0]]}',
+        "bool-n": '{"n": true, "lii": [1], "lxi": [[0]]}',
+        "short-row": '{"n": 2, "lii": [1, 1], "lxi": [[0, 1], [1]]}',
+        "scalar-rows": '{"n": 2, "lii": [1, 1], "lxi": [1, 2]}',
+        "list": "[1, 2]",
+        "empty": "",
+        "caps": '{"1": 1, "2": 2}',
+        "caps-duplicate": '{"1": 1, "01": 2}',
+        "caps-repeated": '{"1": 1, "1": 2}',
+        "caps-negative": '{"1": -1}',
+        "caps-float": '{"2": 1.5}',
+        "caps-bool": '{"1": true}',
+        "caps-nan": '{"1": NaN}',
+        "caps-huge": '{"1": 1e308}',
+        "caps-key": '{"x": 1}',
+        "caps-node0": '{"0": 1}',
+    }
+    paths = {}
+    for name, body in text.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(body)
+    paths["not-utf8"] = tmp_path / "not-utf8.json"
+    paths["not-utf8"].write_bytes(b"\xff\xfe{")
+    for name, inst in (("inst", instance_a),
+                       ("zero", Instance(3, (0, 0, 0), ((0, 5, 5), (5, 0, 5),
+                                                       (5, 5, 0)))),
+                       ("edge", model.attach_edge_server(instance_a, 10,
+                                                         [1, 0, 1]))):
+        paths[name] = tmp_path / f"{name}.json"
+        save_instance(inst, paths[name])
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    paths.update(missing=tmp_path / "missing.json", dir=tmp_path,
+                 under_file=afile / "x.json", no_dir=tmp_path / "nodir" / "x")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _fuzz_argv(rng, files) -> list:
+    """One drawn command line over the five commands. Each option value is
+    good three times in four, so that most commands get past their checks;
+    half the file draws take a good file."""
+    def value(good, bad):
+        return str(rng.choice(good if rng.random() < 0.75 else bad))
+
+    def maybe(option, good, bad):
+        return [option, value(good, bad)] if rng.random() < 0.7 else []
+
+    def flag(option):
+        return [option] * rng.randint(0, 1)
+
+    instance = value([files["inst"], files["zero"], files["edge"]],
+                     list(files.values()))
+    caps = ["--caps", value([files["caps"]], list(files.values()))] \
+        if rng.random() < 0.4 else []
+    rho = ["--rho", value([0, 4, 2.5, -1],
+                          ["nan", "inf", "-inf", "1e308", "-1e308", "x", ""])]
+    out = value([files["dir"] + "/out"], [files["under_file"], files["dir"],
+                                          files["no_dir"], files["missing"]])
+    command = rng.choice(["gen", "solve", "simulate", "bench", "count"])
+    if rng.random() < 0.05:
+        argv = [rng.choice(["no-such-command", "--no-such-option"])]
+    elif command == "gen":
+        argv = (["gen"] + maybe("--n", [1, 3, 6], [0, -1, GEN_MAX_N + 1, "x"])
+                + maybe("--seed", [0, 7, -5], ["x"]) + flag("--edge-server")
+                + ["--out", out + ".json"])
+    elif command == "solve":
+        argv = (["solve"] + rho * rng.randint(0, 1) + caps
+                + maybe("--mode", ["strict", "relaxed"], ["x"]) + [instance])
+    elif command == "simulate":
+        rule = ["--rho-rule", value(["mean", "half_n"], ["x"])]
+        argv = (["simulate"] + rng.choice([rho, rho, rule, rho + rule, []])
+                + maybe("--transport", ["broadcast", "p2p"], ["smoke"])
+                + caps + flag("--edge-server") + flag("--strict-outcome")
+                + maybe("--seed", [0, 3], ["x"])
+                + (["--log", out + ".jsonl"] if rng.random() < 0.3 else [])
+                + [instance])
+    elif command == "bench":
+        # --instances always, so that a run never takes the default of 100
+        argv = (["bench", "--n", value([1, 2, 3], [0, BENCH_MAX_N + 1, "x"]),
+                 "--instances", value([1], [0, "x"])]
+                + maybe("--rho", [0, 3], ["x"])
+                + maybe("--transport", ["p2p"], ["x"])
+                + maybe("--timing-reps", [1], [0]) + ["--out", out])
+    else:
+        argv = (["count"] + maybe("--n", [1, 7, 40], [0, COUNT_MAX_N + 1, "x"])
+                + maybe("--l", [0, 2, 50], [-1, "x"]))
+    return flag("--json-errors") + argv
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_fuzz_exits_with_a_documented_code(runner, tmp_path, instance_a,
+                                              seed):
+    # Drawn command lines over bad values and malformed files end in a
+    # documented exit code, never in an exception; every non-zero exit says
+    # why on stderr, under --json-errors as one JSON object.
+    files = _fuzz_files(tmp_path, instance_a)
+    rng = random.Random(seed)
+    codes = set()
+    for _ in range(1000):
+        argv = _fuzz_argv(rng, files)
+        result = runner.invoke(main, argv)
+        code = result.exit_code
+        codes.add(code)
+        assert code in {0, 1, 2, 3, 4}, (argv, result.output)
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit), (argv, result.exception)
+        if code == 0:
+            json.loads(result.stdout.splitlines()[-1])
+        elif argv[0] == "--json-errors":
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1, (argv, result.stderr)
+            assert json.loads(lines[0])["exit_code"] == code, argv
+        else:
+            assert result.stderr, argv
+    assert codes == {0, 1, 2, 3, 4}

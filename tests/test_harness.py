@@ -12,6 +12,7 @@ from leadsel import (
     check_message_bounds,
     derive_seed,
     generate_instance,
+    harness,
     rho_rule,
     run_benchmark,
     run_episode,
@@ -128,6 +129,24 @@ def test_experiment_config_validation():
         ExperimentConfig(n_values=())
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=(5,), instances_per_n=0)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("timing_reps", 0, "timing_reps must be >= 1"),
+    ("modes", ("smoke",), "unknown transport 'smoke'"),
+    ("modes", ("p2p", "smoke"), "unknown transport 'smoke'"),
+], ids=["timing-reps-0", "smoke", "p2p-and-smoke"])
+def test_experiment_config_refuses_what_the_benchmark_cannot_run(
+        monkeypatch, field, value, error):
+    # refused when built, before any instance is generated or solved
+    def work(*args, **kwargs):
+        pytest.fail("the benchmark started work")
+
+    for name in ("generate_instance", "solve_exhaustive", "run_episode"):
+        monkeypatch.setattr(harness, name, work)
+    with pytest.raises(ValueError, match=error):
+        run_benchmark(ExperimentConfig(n_values=(4,), instances_per_n=1,
+                                       **{field: value}))
 
 
 def test_optimal_rho_is_a_constant():

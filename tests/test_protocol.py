@@ -25,6 +25,7 @@ from leadsel import (
     generate_instance,
     leader_candidates,
     nobody_willing,
+    protocol,
     run_episode,
     run_fallback_process,
     solve_exhaustive,
@@ -579,7 +580,7 @@ def test_best_candidate_heads_the_full_ranking(inst, data):
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.data())
-def test_choose_leader_never_chooses_the_device(inst, data):
+def test_request_best_never_picks_the_device_itself(inst, data):
     # a device scores itself zero, so a table that holds it (with or
     # without an edge server) ranks as one that does not
     if data.draw(st.booleans()):
@@ -942,6 +943,61 @@ def test_protocol_reads_each_row_only_in_its_owners_device_steps(monkeypatch):
     assert set(seen) == {"simulate_protocol", "run_fallback_process",
                          "detect_scenario", "utility", "attach_edge_server",
                          "__post_init__"}
+
+
+def test_devices_rank_only_what_was_announced_to_them(monkeypatch):
+    # A device ranks the announcer table of its round, so each (-lii, id)
+    # pair of a table it reads must be an announcement of that id and lii in
+    # the log, of the table's phase and round and sent to the device (to
+    # all under broadcast). A table is built just after its round's
+    # announcements are logged, so it takes their phase and round.
+    add, build, request = (MessageLog.add, protocol._announcer_table,
+                           protocol.request_best)
+    logged, built, read = [None], [], []
+
+    def logging_add(log, phase, rnd, *args, **kwargs):
+        logged[0] = (phase, rnd)
+        return add(log, phase, rnd, *args, **kwargs)
+
+    def building(announcers, offset):
+        pairs = list(announcers)
+        table = build(pairs, offset)
+        built.append((logged[0], pairs, table))
+        return table
+
+    def requesting(state, announcers):
+        read.append((state.id, announcers))
+        return request(state, announcers)
+
+    monkeypatch.setattr(MessageLog, "add", logging_add)
+    monkeypatch.setattr(protocol, "_announcer_table", building)
+    monkeypatch.setattr(protocol, "request_best", requesting)
+    rng = random.Random(2025)
+    seen = Counter()
+    for _ in range(500):
+        inst, kw = _privacy_episode(rng)
+        seed = rng.getrandbits(32)
+        for transport in (BROADCAST, P2P):
+            built.clear()
+            read.clear()
+            outcome = run_episode(inst, ProtocolConfig(transport=transport,
+                                                       **kw), seed)
+            sent = {(m.phase, m.round, m.sender, m.receiver, m.lii): m.kind
+                    for m in outcome.messages
+                    if m.kind in (ANNOUNCE, PHASE2_ANNOUNCE)}
+            for reader, table in read:
+                (phase, rnd), pairs = next((at, pairs) for at, pairs, t
+                                           in built if t is table)
+                for neg, n in pairs:
+                    kind = sent.get((phase, rnd, n, None, -neg)) or sent.get(
+                        (phase, rnd, n, reader, -neg))
+                    assert kind is not None, (reader, n, phase, rnd, inst, kw)
+                    seen[kind, transport, n == 0] += 1  # node 0's offer
+    # both phases and the edge-server offer, under both transports
+    assert set(seen) == {(kind, transport, False)
+                         for kind in (ANNOUNCE, PHASE2_ANNOUNCE)
+                         for transport in (BROADCAST, P2P)} | {
+        (ANNOUNCE, BROADCAST, True), (ANNOUNCE, P2P, True)}
 
 
 # -- messages -----------------------------------------------------------------

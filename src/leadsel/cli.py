@@ -28,9 +28,10 @@ EXIT_DEGENERATE = 4
 # a 2-core machine; from about n = 1,888 it has more than the 4,300 digits
 # str() will print.
 COUNT_MAX_N = 1000
-# `gen` needs about 3·N² bytes over the interpreter's 24 MB: at N = 3,000
-# it takes about 0.9 s CPU, with or without --edge-server, and 50 MB peak
-# RSS in-process on the same machine, and N = 20,000 would need about 1.2 GB.
+# `gen` holds about N² bytes, one a score, over the 21 MB that the
+# interpreter and the package take: at N = 3,000 it takes about 0.6 s CPU
+# and 31 MB peak RSS in-process on the same machine, with or without
+# --edge-server, and N = 20,000 would need about 420 MB.
 # Each file it writes fits the input-file budget, model._INPUT_MAX_BYTES.
 GEN_MAX_N = 3000
 # `bench` solves each instance uncapacitated, so N stops where the exact
@@ -39,12 +40,16 @@ BENCH_MAX_N = max(n for n in range(1, HARD_LIMIT + 1)
                   if count_configs_exhaustive(n) <= CONFIG_BUDGET)
 
 
+# Every click.echo names its stream. Left to pick one, click caches the
+# stream in a WeakKeyDictionary whose value is the stream itself, so each
+# sys.stdout or sys.stderr that an in-process caller swaps in for one call
+# would stay alive for the life of the process.
 def _fail(ctx, code: int, message: str, **extra):
     if ctx.find_root().params.get("json_errors"):
         payload = {"error": message, "exit_code": code, **extra}
-        click.echo(json.dumps(payload, sort_keys=True), err=True)
+        click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
     else:
-        click.echo(f"error: {message}", err=True)
+        click.echo(f"error: {message}", file=sys.stderr)
     ctx.exit(code)
 
 
@@ -155,7 +160,7 @@ def gen(ctx, n, seed, edge_server, out):
         "edge_server": inst.has_edge_server,
         "case1": scan.case1,
         "case2_isolated": sorted(scan.case2_isolated),
-    }, sort_keys=True))
+    }, sort_keys=True), file=sys.stdout)
 
 
 @main.command()
@@ -188,7 +193,7 @@ def solve(ctx, rho, mode, caps_path, instance):
         "c1_ok": rep.c1_ok, "c2_ok": rep.c2_ok, "c3_ok": rep.c3_ok,
         "capacity_ok": rep.capacity_ok,
     }
-    click.echo(json.dumps(result, sort_keys=True))
+    click.echo(json.dumps(result, sort_keys=True), file=sys.stdout)
 
 
 @main.command()
@@ -229,7 +234,7 @@ def simulate(ctx, rho, rho_rule, transport, caps_path, edge_server, seed,
             _fail(ctx, EXIT_IO, f"cannot write {log_path}: {exc}")
     result = outcome.to_json_dict()
     result["rho"] = rho
-    click.echo(json.dumps(result, sort_keys=True))
+    click.echo(json.dumps(result, sort_keys=True), file=sys.stdout)
     if strict_outcome and not outcome.assignment.leaders:
         _fail(ctx, EXIT_DEGENERATE,
               "degenerate outcome: no leader, every node isolated")
@@ -272,7 +277,7 @@ def bench(ctx, n_values, instances, rho_values, transport, seed, jobs,
     except OSError as exc:
         _fail(ctx, EXIT_IO, f"cannot write to {out}: {exc}")
     click.echo(json.dumps({"written": out, "rows": len(report.rows)},
-                          sort_keys=True))
+                          sort_keys=True), file=sys.stdout)
 
 
 @main.command()
@@ -290,7 +295,7 @@ def count(ctx, n, l_value):
         result["l"] = l_value
         result["distributed_bound"] = str(
             count_configs_distributed_bound(n, l_value))
-    click.echo(json.dumps(result, sort_keys=True))
+    click.echo(json.dumps(result, sort_keys=True), file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import hashlib
 import statistics
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
@@ -256,6 +255,9 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     for n in cfg.n_values:
         work = [(cfg, n, idx) for idx in range(cfg.instances_per_n)]
         if cfg.jobs > 1:
+            # imported here: the pool machinery costs every other run
+            # about 1 MB and 10 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 results = list(pool.map(_bench_instance, work))
         else:

@@ -7,6 +7,7 @@ integers in {0..10}.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -184,20 +185,40 @@ class Instance:
 
 def read_json(path):
     """The JSON value of the UTF-8 file at ``path``. ``OSError`` passes
-    through; a file over ``_INPUT_MAX_BYTES``, refused before it is opened,
-    or one that does not parse raises ``InstanceFormatError``."""
+    through. A file over ``_INPUT_MAX_BYTES`` raises ``InstanceFormatError``,
+    before it is opened when its size says so and otherwise (a device or a
+    FIFO reports none) once a byte past the budget has been read; so does
+    one that does not parse."""
     if (size := os.stat(path).st_size) > _INPUT_MAX_BYTES:
         raise InstanceFormatError(
             f"file has {size} bytes, over the budget of {_INPUT_MAX_BYTES}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"not valid JSON (line {exc.lineno})") from exc
-        except ValueError as exc:  # not UTF-8, or an over-long integer literal
-            raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise InstanceFormatError("JSON nested too deeply") from exc
+    fh = _BoundedFile(path)
+    try:
+        return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"not valid JSON (line {exc.lineno})") from exc
+    except ValueError as exc:  # not UTF-8, or an over-long integer literal
+        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("JSON nested too deeply") from exc
+
+
+class _BoundedFile:
+    """The file ``name`` for one ``json.load``: read no further than a byte
+    past the input budget, and decoded by ``read`` as a UTF-8 text-mode file
+    decodes (universal newlines), after which its bytes are let go."""
+
+    def __init__(self, name):
+        with open(name, "rb") as fh:
+            self._data = fh.read(_INPUT_MAX_BYTES + 1)
+        if len(self._data) > _INPUT_MAX_BYTES:
+            raise InstanceFormatError(
+                f"file runs past the budget of {_INPUT_MAX_BYTES} bytes")
+        self.name = name
+
+    def read(self) -> str:
+        data, self._data = self._data, None
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
 def load_instance(path) -> Instance:
@@ -241,41 +262,49 @@ def generate_instance(n: int, seed: int,
 
     Draw order is lii[1..n] then lxi row by row, so the same (n, seed)
     always yields bit-identical instances. ``edge_server`` is an optional
-    (lii0, lxi_to_edge) pair appended via :func:`attach_edge_server`.
+    (lii0, lxi_to_edge) pair attached as :func:`attach_edge_server` does,
+    each row extended as it is drawn.
     """
     if n < 1:
         raise ModelError("n must be >= 1")
-    draws = _uniform_scores(random.Random(seed), n * n)
-    rows = []
-    for r in range(n):
-        p = n + r * (n - 1)  # row r's off-diagonal draws start here
-        rows.append(draws[p:p + r] + b"\0" + draws[p + r:p + n - 1])
-    inst = Instance(n=n, lii=tuple(draws[:n]), lxi=tuple(rows))
-    if edge_server is not None:
-        lii0, lxi_to_edge = edge_server
-        inst = attach_edge_server(inst, lii0, lxi_to_edge)
-    return inst
+    take = _uniform_scores(random.Random(seed), n * n)
+    lii = tuple(take(n))
+    rows = (take(r) + b"\0" + take(n - 1 - r) for r in range(n))
+    if edge_server is None:
+        return Instance(n=n, lii=lii, lxi=tuple(rows))
+    return _with_edge_server(n, lii, rows, *edge_server)
 
 
 # randint(0, 10) is the top 4 bits of one 32-bit Mersenne Twister output,
 # drawn again while above 10 (Random._randbelow). getrandbits(32 * k) returns
 # k such outputs, the first in the lowest bits, so the same scores can be
 # read off in bulk: the top byte of each little-endian word, shifted. The
-# words are drawn in bounded chunks, which keeps the transient integer and
-# its byte copies small; the stream is the same however it is split.
+# words are drawn in chunks sized by what is left to draw, at most
+# _CHUNK_WORDS, and the scores are handed out as they are asked for, so
+# only one chunk and the part of it not yet taken are held at a time; the
+# stream is the same however it is split.
 _TOP_NIBBLE = bytes(b >> 4 for b in range(256))
 _REJECTED = bytes(range((SCORE_MAX + 1) << 4, 256))
 _CHUNK_WORDS = 1 << 16
 
 
-def _uniform_scores(rng: random.Random, count: int) -> bytes:
-    """The next ``count`` values of ``rng.randint(0, 10)``, in order."""
-    out = bytearray()
-    while len(out) < count:
-        words = min((count - len(out)) * 16 // 11 + 64, _CHUNK_WORDS)
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        out += raw[3::4].translate(_TOP_NIBBLE, _REJECTED)
-    return bytes(out[:count])
+def _uniform_scores(rng: random.Random, count: int):
+    """A ``take(k)`` that returns the next ``k`` values of
+    ``rng.randint(0, 10)`` as ``bytes``, ``count`` values in all."""
+    buf, pos, made = b"", 0, 0
+
+    def take(k: int) -> bytes:
+        nonlocal buf, pos, made
+        while pos + k > len(buf):
+            words = min((count - made) * 16 // 11 + 64, _CHUNK_WORDS)
+            chunk = rng.getrandbits(32 * words).to_bytes(
+                4 * words, "little")[3::4].translate(_TOP_NIBBLE, _REJECTED)
+            made += len(chunk)
+            buf, pos = buf[pos:] + chunk, 0
+        pos += k
+        return buf[pos - k:pos]
+
+    return take
 
 
 def attach_edge_server(inst: Instance, lii0,
@@ -283,19 +312,25 @@ def attach_edge_server(inst: Instance, lii0,
     """Extend with node 0: it may lead (lii0 > 0) but never follows."""
     if inst.has_edge_server:
         raise ModelError("instance already has an edge server")
+    return _with_edge_server(inst.n, inst.lii, inst.lxi, lii0, lxi_to_edge)
+
+
+def _with_edge_server(n: int, lii: tuple, rows: Iterable, lii0,
+                      lxi_to_edge: Sequence) -> Instance:
+    """The instance of UEs 1..n with scores ``lii`` and lxi ``rows``, taken
+    one at a time, plus node 0."""
     if lii0 <= 0:
         raise ModelError("edge server lii must be > 0")
-    if len(lxi_to_edge) != inst.n:
+    if len(lxi_to_edge) != n:
         raise ModelError("lxi_to_edge needs one entry per regular UE")
-    lii = (lii0,) + inst.lii
-    lxi = [bytes(inst.n + 1)]
-    for m in inst.ue_ids:
+    lxi = [bytes(n + 1)]
+    for m, row in enumerate(rows, 1):
         # the edge score is checked alone; joined to a stored row of the same
         # type it keeps a bytes row bytes, without an int tuple in between
         head = _score_row((lxi_to_edge[m - 1],), f"lxi[{m}]")
-        row = inst.lxi[m - 1]
         lxi.append(head + row if type(head) is type(row) else (*head, *row))
-    return Instance(n=inst.n, lii=lii, lxi=tuple(lxi), has_edge_server=True)
+    return Instance(n=n, lii=(lii0,) + lii, lxi=tuple(lxi),
+                    has_edge_server=True)
 
 
 @dataclass(frozen=True)
@@ -346,6 +381,12 @@ class Assignment:
 def utility(inst: Instance, a: Assignment):
     """Sum of leader willingness plus follower->leader preference scores."""
     a.validate_structure(inst)  # every id indexes a stored row from here
+    return _utility(inst, a)
+
+
+def _utility(inst: Instance, a: Assignment):
+    """``utility`` of an assignment already known to partition the nodes of
+    ``inst``, such as one the protocol simulator built."""
     off, lii, lxi = inst.node_ids.start, inst.lii, inst.lxi
     total = sum(lii[n - off] for n in a.leaders)
     total += sum(lxi[m - off][n - off] for m, n in a.follows.items())

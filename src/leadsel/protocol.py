@@ -64,7 +64,7 @@ from .model import (
     check_caps,
     leader_candidates,
     nobody_willing,
-    utility as assignment_utility,
+    _utility,
 )
 
 # message kinds
@@ -606,7 +606,7 @@ def run_episode(inst: Instance, cfg: ProtocolConfig, seed: int) -> EpisodeOutcom
     assignment = Assignment.build(leaders, follows, isolated)
     return EpisodeOutcome(
         assignment=assignment,
-        utility=assignment_utility(final, assignment),
+        utility=_utility(final, assignment),
         log=sim.log,
         protocol_messages=protocol_messages,
         scenario=scenario,

@@ -1,17 +1,23 @@
 """Command line surface: subcommands, exit codes, determinism."""
 from __future__ import annotations
 
+import ast
+import gc
+import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
 
 import leadsel
-from leadsel import model, save_instance
+from leadsel import cli, model, save_instance
 from leadsel.cli import BENCH_MAX_N, COUNT_MAX_N, GEN_MAX_N, main
 from leadsel.counting import count_configs_exhaustive
 from leadsel.exhaustive import CONFIG_BUDGET
@@ -45,17 +51,60 @@ def test_help_lists_subcommands(runner):
         assert sub in result.output
 
 
-def test_import_loads_neither_numpy_nor_scipy():
-    # only the capacitated solver needs them, and imports them when called
+def _loaded_by_import(names) -> str:
+    """The sorted list of the top-level modules ``names`` that a new
+    interpreter has loaded after ``import leadsel, leadsel.cli``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(leadsel.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, leadsel, leadsel.cli; "
             "print(sorted({m.split('.')[0] for m in sys.modules} "
-            "& {'numpy', 'scipy'}))")
+            f"& {set(names)!r}))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # only the capacitated solver needs them, and imports them when called
+    assert _loaded_by_import({"numpy", "scipy"}) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only `bench --jobs` above 1 needs it, and imports it then
+    assert _loaded_by_import({"concurrent", "multiprocessing"}) == "[]"
+
+
+def test_in_process_calls_leave_their_streams_unreferenced(tmp_path):
+    # click caches a stream it picks itself for the life of the process, so
+    # a caller that redirects stdout or stderr per call would keep each one
+    inst = str(tmp_path / "inst.json")
+    for argv, redirect, code in (
+            (["gen", "--n", "3", "--out", inst], redirect_stdout, 0),
+            (["--json-errors", "solve", str(tmp_path / "missing.json")],
+             redirect_stderr, 1)):
+        stream = io.StringIO()
+        with redirect(stream):
+            assert (main.main(args=argv, prog_name="leadsel",
+                              standalone_mode=False) or 0) == code
+        assert json.loads(stream.getvalue())
+        gone = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert gone() is None, argv
+
+
+def test_every_echo_names_its_stream():
+    # a new echo left to pick its stream would keep each redirected one
+    # alive again, which only an in-process caller would notice
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("echo", "secho")]
+    assert calls
+    unnamed = [node.lineno for node in calls
+               if "file" not in {k.arg for k in node.keywords}]
+    assert unnamed == []
 
 
 def _capped_solve_in_fresh_process(tmp_path, setup: str, after: str) -> str:
@@ -351,6 +400,17 @@ def test_input_file_over_the_budget_exits_2_unparsed(
             assert result.stderr == f"error: {error}\n"
     # only the instance file of a caps case reaches the parser
     assert parsed == ([] if kind == "instance" else [instance_a_path] * 2)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_input_without_a_size_is_read_only_to_the_budget(runner, monkeypatch):
+    # a device reports st_size 0, so only the read can stop it
+    monkeypatch.setattr(model, "_INPUT_MAX_BYTES", 4096)
+    result = runner.invoke(main, ["--json-errors", "solve", "/dev/zero"])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr) == {
+        "error": "bad instance file /dev/zero: file runs past the budget of "
+                 "4096 bytes", "exit_code": 2}
 
 
 def test_the_input_budget_admits_every_file_gen_writes(tmp_path):

@@ -132,6 +132,21 @@ def test_generated_instance_holds_one_byte_a_score():
     assert held < 2_000_000  # tuple rows of ints held about 7.7 MB
 
 
+@pytest.mark.parametrize("edge", [False, True], ids=["plain", "edge"])
+def test_generation_peak_stays_below_twice_the_instance(edge):
+    # rows are cut from a buffer carried across them, and node 0's rows are
+    # built in the same pass, so the n * n draws are never all held twice
+    edge_server = (10, [1] * 1000) if edge else None
+    tracemalloc.start()
+    try:
+        inst = generate_instance(1000, 3, edge_server=edge_server)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.has_edge_server == edge
+    assert peak < 2 * kept  # about 3x before
+
+
 def test_instance_accepts_real_scores():
     inst = Instance(2, (1.5, 1), ((0, 2.25), (10.0, 0)))
     assert inst.lxi_of(1, 2) == 2.25
@@ -248,6 +263,15 @@ def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     with pytest.raises(InstanceFormatError):
+        load_instance(path)
+
+
+def test_load_counts_lines_as_a_text_file_does(tmp_path):
+    # bare carriage returns end lines, as the universal newlines of a
+    # text-mode read have them
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{\r "n": 1,\r\n "lii": [\r}')
+    with pytest.raises(InstanceFormatError, match=r"\(line 4\)"):
         load_instance(path)
 
 

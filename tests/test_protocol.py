@@ -31,6 +31,7 @@ from leadsel import (
     solve_exhaustive,
     utility,
 )
+from leadsel.model import _utility
 from leadsel.protocol import (
     ACK,
     ANNOUNCE,
@@ -838,7 +839,7 @@ _DEVICE_STEPS = {f.__code__ for f in (
 # The readers that only build, label or evaluate an episode; instance
 # construction reads the rows it is given.
 _CENTRAL = {f.__code__: f.__name__ for f in (
-    detect_scenario, utility, attach_edge_server, Instance.__post_init__)}
+    detect_scenario, _utility, attach_edge_server, Instance.__post_init__)}
 _PROTOCOL = {f.__code__: f.__name__ for f in (
     simulate_protocol, run_fallback_process)}
 
@@ -941,7 +942,7 @@ def test_protocol_reads_each_row_only_in_its_owners_device_steps(monkeypatch):
                 seen[central or within] += 1
     # every reader the claim covers took part
     assert set(seen) == {"simulate_protocol", "run_fallback_process",
-                         "detect_scenario", "utility", "attach_edge_server",
+                         "detect_scenario", "_utility", "attach_edge_server",
                          "__post_init__"}
 
 

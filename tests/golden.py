@@ -1,4 +1,4 @@
-"""Record or check the two pinned output files of the test suite.
+"""Record or check the three pinned output files of the test suite.
 
 ``golden_episodes.json`` pins protocol episodes (``test_episode_golden.py``).
 Each recorded episode keeps its assignment, utility, round count, phase-1
@@ -30,7 +30,14 @@ per-leader-set assignment picked, not only the utility. The cases cover:
   scores in tenths, leader sets whose utilities are equal in exact
   arithmetic often differ in the last bit.
 
-Run from the repository root. Without options it overwrites both files:
+``golden_uncapacitated.json`` pins uncapped exact solves
+(``test_uncapacitated_golden.py``): every case above with at most 10
+nodes, solved with its caps dropped, recorded the same way. The pinned
+record includes ``configs_visited``, so a search that pruned
+configurations instead of scoring them would show here, and the follower
+map fixes which completion won each tie.
+
+Run from the repository root. Without options it overwrites all three files:
 
     PYTHONPATH=src python tests/golden.py
 
@@ -63,6 +70,7 @@ from leadsel import (
 HERE = os.path.dirname(os.path.abspath(__file__))
 EPISODES = os.path.join(HERE, "golden_episodes.json")
 CAPACITATED = os.path.join(HERE, "golden_capacitated.json")
+UNCAPACITATED = os.path.join(HERE, "golden_uncapacitated.json")
 TRANSPORTS = ("broadcast", "p2p")
 MODES = ("relaxed", "strict")
 FRACTIONS = (0, 0.1, 0.2, 0.3, 0.7, 1.1, 2.5, 3.3, 4.9, 6.6, 10)
@@ -239,8 +247,9 @@ def solve_cases():
         yield f"tenths/{i}/{mode}", inst, 0, caps, mode
 
 
-def describe_solve(inst: Instance, rho, caps: dict, mode: str) -> dict:
-    """The golden record of one capacitated solve."""
+def describe_solve(inst: Instance, rho, caps, mode: str) -> dict:
+    """The golden record of one exact solve, capped unless ``caps`` is
+    None."""
     try:
         sol = solve_exhaustive(inst, rho, caps=caps, mode=mode)
     except Infeasible:
@@ -256,9 +265,18 @@ def solve_records() -> dict:
             for name, inst, rho, caps, mode in solve_cases()}
 
 
-# -- both files ---------------------------------------------------------
+def uncapacitated_records() -> dict:
+    """The record of every golden solve with at most 10 nodes, solved
+    without its caps, by key."""
+    return {name: describe_solve(inst, rho, None, mode)
+            for name, inst, rho, _, mode in solve_cases()
+            if inst.node_count <= 10}
 
-FILES = ((EPISODES, episode_records), (CAPACITATED, solve_records))
+
+# -- all three files ----------------------------------------------------
+
+FILES = ((EPISODES, episode_records), (CAPACITATED, solve_records),
+         (UNCAPACITATED, uncapacitated_records))
 
 
 def read(path: str) -> dict:

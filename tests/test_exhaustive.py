@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,22 @@ def test_config_budget_trips_before_the_search(monkeypatch):
     monkeypatch.setattr(leadsel.exhaustive, "_search_capacitated", entered)
     with pytest.raises(AssertionError, match="the search started"):
         solve_exhaustive(inst, 0, caps={1: 1})
+
+
+def test_every_configuration_is_visited():
+    # With every score positive no configuration is refused, so the search
+    # must score each leader set with each ordered choice of distinct first
+    # followers: sum over k of C(N, k) * P(N - k, k). A search that pruned
+    # configurations instead of scoring them would count fewer.
+    rng = random.Random(26)
+    for n in range(1, 10):
+        inst = Instance(n, tuple(rng.randint(1, 10) for _ in range(n)),
+                        tuple(tuple(0 if r == c else rng.randint(1, 10)
+                                    for c in range(n)) for r in range(n)))
+        expected = sum(comb(n, k) * perm(n - k, k)
+                       for k in range(1, n // 2 + 1))
+        assert solve_exhaustive(inst, 0).configs_visited == expected, n
+    assert expected == 26784
 
 
 def test_solution_satisfies_constraints():

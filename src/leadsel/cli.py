@@ -104,9 +104,32 @@ def _threshold(ctx, rho: float):
     return int(rho) if rho.is_integer() else rho
 
 
-class _Main(click.Group):
+def _show_help(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _NamedHelp:
+    """``--help`` as click builds it, but echoing to a named stream (see
+    the note above ``_fail``)."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_NamedHelp, click.Command):
+    pass
+
+
+class _Main(_NamedHelp, click.Group):
     """Under --json-errors, click's usage errors (a bad value, an unknown
     command or option) go through ``_fail`` too, with their exit code."""
+
+    command_class = _Command
 
     def parse_args(self, ctx, args):
         json_errors = "--json-errors" in args  # the parser consumes args

@@ -21,11 +21,15 @@ def stirling2(n: int, k: int) -> int:
 
 
 def count_configs_exhaustive(n: int) -> int:
-    """Number of full cluster configurations visited by exhaustive search.
+    """Number of full cluster configurations an exhaustive enumeration
+    covers, the paper's count.
 
     For each leader count k up to n//2: choose the k leaders, partition the
     remaining n-k devices into k non-empty follower groups, and associate
-    groups with leaders in k! ways.
+    groups with leaders in k! ways. ``solve_exhaustive`` does not visit
+    these one by one: it scores leader-first-follower configurations, so
+    its ``configs_visited`` is another number (at most the sum over k of
+    C(n, k) * P(n - k, k)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

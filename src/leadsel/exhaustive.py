@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
+from operator import getitem
 from typing import Mapping, Optional
 
 from .counting import count_configs_exhaustive
@@ -29,8 +30,9 @@ from .model import (
 )
 
 HARD_LIMIT = 14
-# the uncapacitated search visits count_configs_exhaustive(N) configurations;
-# N = 13 is the largest size it may take on
+# bounds the paper's count of full cluster configurations,
+# count_configs_exhaustive(N), not the configurations the uncapacitated
+# search visits; N = 13 is the largest size that search may take on
 CONFIG_BUDGET = count_configs_exhaustive(13)
 ORACLE_LIMIT = 7
 
@@ -142,64 +144,59 @@ class _Incumbent:
 
 def _search_uncapacitated(inst: Instance, rho, strict: bool,
                           best: _Incumbent) -> int:
+    # Every UE that is not a first follower adds its best score toward the
+    # leader set, whichever UEs the first followers are. So a configuration
+    # scores the set's bound (leader scores plus each non-leader's best
+    # score) plus what each first follower gives up to follow its leader:
+    # k lookups. Only a configuration that may tie or beat the incumbent is
+    # summed again score by score, in the order that fixes how floats round.
     eligible = leader_candidates(inst, rho)
     kmax = inst.node_count // 2
-    lii = {n: inst.lii_of(n) for n in inst.node_ids}
-    lxi = {m: inst.lxi_row(m) for m in inst.node_ids}
+    off, size = inst.node_ids.start, inst.n + 1
+    lii = [0] * off + list(inst.lii)
+    lxi = [[0] * size] * off + [[0] * off + list(row) for row in inst.lxi]
+    refused = floor = float("-inf")
     visited = 0
 
     for k in range(1, kmax + 1):
         for leaders in combinations(eligible, k):
-            lset = set(leaders)
-            nonleaders = [m for m in inst.node_ids if m not in lset]
-            if strict and any(
-                    all(lxi[m][l] <= 0 for l in leaders)
-                    for m in nonleaders if m != EDGE_SERVER_ID):
+            nonleaders = [m for m in inst.node_ids if m not in leaders]
+            # each UE's best score toward this set and the lowest leader id
+            # giving it (None, and zero, if it scores every leader zero)
+            tops, top_of = [0] * size, [None] * size
+            for m in nonleaders:
+                for l in leaders:
+                    if lxi[m][l] > tops[m]:
+                        tops[m], top_of[m] = lxi[m][l], l
+            if strict and any(top_of[m] is None for m in nonleaders
+                              if m != EDGE_SERVER_ID):
                 continue  # someone could neither lead nor follow here
             base = sum(lii[l] for l in leaders)
+            bound = base + sum(tops)
+            cols = [[lxi[f][l] - tops[f] if lxi[f][l] > 0 else refused
+                     for f in range(size)] for l in leaders]
 
-            # One distinct first follower per leader secures C2; each
-            # remaining UE then adds its best score toward this leader set
-            # (zero if it scores every leader zero and stays isolated).
+            # One distinct first follower per leader secures C2.
             for firsts in permutations(nonleaders, k):
-                util = base
-                ok = True
-                for l, f in zip(leaders, firsts):
-                    v = lxi[f][l]
-                    if v <= 0:
-                        ok = False
-                        break
-                    util += v
-                if not ok:
+                gain = sum(map(getitem, cols, firsts))
+                if gain == refused:
                     continue
                 visited += 1
-                fset = set(firsts)
-                for m in nonleaders:
-                    if m in fset:
-                        continue
-                    row = lxi[m]
-                    bv = 0
-                    for l in leaders:
-                        v = row[l]
-                        if v > bv:
-                            bv = v
-                    util += bv
-                if best.util is not None and util < best.util:
+                if bound + gain < floor:
                     continue
-                # within the completion, the lowest leader id wins
+                rest = [m for m in nonleaders if m not in firsts]
+                util = base
+                for l, f in zip(leaders, firsts):
+                    util += lxi[f][l]
+                for m in rest:
+                    util += tops[m]
                 follows = dict(zip(firsts, leaders))
-                for m in nonleaders:
-                    if m in fset:
-                        continue
-                    row = lxi[m]
-                    bv, bl = 0, None
-                    for l in leaders:
-                        v = row[l]
-                        if v > bv:
-                            bv, bl = v, l
-                    if bl is not None:
-                        follows[m] = bl
+                follows.update((m, top_of[m]) for m in rest
+                               if top_of[m] is not None)
                 best.offer(util, leaders, follows)
+                # the slack covers sums of floats rounding apart; integer
+                # scores are compared exactly
+                floor = best.util - 1e-9 * (1 + abs(best.util))
     return visited
 
 

@@ -82,12 +82,16 @@ def test_in_process_calls_leave_their_streams_unreferenced(tmp_path):
     for argv, redirect, code in (
             (["gen", "--n", "3", "--out", inst], redirect_stdout, 0),
             (["--json-errors", "solve", str(tmp_path / "missing.json")],
-             redirect_stderr, 1)):
+             redirect_stderr, 1),
+            (["--help"], redirect_stdout, 0),
+            (["gen", "--help"], redirect_stdout, 0)):
         stream = io.StringIO()
         with redirect(stream):
             assert (main.main(args=argv, prog_name="leadsel",
                               standalone_mode=False) or 0) == code
-        assert json.loads(stream.getvalue())
+        out = stream.getvalue()
+        assert (out.startswith("Usage: leadsel") if "--help" in argv
+                else json.loads(out))
         gone = weakref.ref(stream)
         del stream
         gc.collect()

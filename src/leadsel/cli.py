@@ -77,10 +77,9 @@ def _load_caps(ctx, path, inst: model.Instance):
         _fail(ctx, EXIT_USAGE, f"caps file {path} must map ue-id to limit")
     caps, keys = {}, {}
     for key, limit in raw.items():
-        try:
-            node = int(key)
-        except ValueError:
-            node = None
+        # ASCII digits only: int() also takes signs, blanks, "_" and the
+        # digits of other scripts
+        node = int(key) if key.isascii() and key.isdigit() else None
         if node not in inst.node_ids:
             _fail(ctx, EXIT_USAGE, f"caps file {path}: key {key!r} is not a "
                   f"node id of the instance ({inst.node_ids.start}..{inst.n})")

@@ -122,9 +122,12 @@ def solve_exhaustive(inst: Instance, rho, caps: Optional[Mapping] = None,
 
 class _Incumbent:
     """The best assignment offered so far: the largest utility, then the
-    smallest ``Assignment.sort_key``, whatever order offers come in."""
+    smallest ``Assignment.sort_key``, whatever order offers come in.
+    ``floor``, the least bound still worth trying, is the best utility less
+    a slack for float sums that round apart; integers compare exactly."""
 
     util = assignment = key = None
+    floor = float("-inf")
 
     def __init__(self, inst: Instance):
         self.nodes = inst.node_ids
@@ -140,6 +143,7 @@ class _Incumbent:
         key = assignment.sort_key()
         if self.util is None or util > self.util or key < self.key:
             self.util, self.assignment, self.key = util, assignment, key
+            self.floor = util - 1e-9 * (1 + abs(util))
 
 
 def _search_uncapacitated(inst: Instance, rho, strict: bool,
@@ -155,7 +159,7 @@ def _search_uncapacitated(inst: Instance, rho, strict: bool,
     off, size = inst.node_ids.start, inst.n + 1
     lii = [0] * off + list(inst.lii)
     lxi = [[0] * size] * off + [[0] * off + list(row) for row in inst.lxi]
-    refused = floor = float("-inf")
+    refused, floor = float("-inf"), best.floor
     visited = 0
 
     for k in range(1, kmax + 1):
@@ -194,9 +198,7 @@ def _search_uncapacitated(inst: Instance, rho, strict: bool,
                 follows.update((m, top_of[m]) for m in rest
                                if top_of[m] is not None)
                 best.offer(util, leaders, follows)
-                # the slack covers sums of floats rounding apart; integer
-                # scores are compared exactly
-                floor = best.util - 1e-9 * (1 + abs(best.util))
+                floor = best.floor
     return visited
 
 
@@ -263,11 +265,8 @@ def _search_capacitated(inst: Instance, rho, caps: Mapping, strict: bool,
     bound = bound.tolist()
 
     for s in order:
-        # Float scores sum in another order here than in the utility, so a
-        # bound may round below a utility it equals; the slack keeps such a
-        # set in. Integer bounds and utilities are cut exactly as without it.
-        if (best.util is not None
-                and bound[s] < best.util - 1e-9 * (1 + abs(best.util))):
+        # a bound sums floats in another order than the utility it may tie
+        if bound[s] < best.floor:
             break
         leaders = tuple(eligible[e] for e in sets[s])
         k = len(leaders)

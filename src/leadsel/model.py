@@ -47,26 +47,23 @@ def _check_score(value, field_path: str):
         raise InstanceFormatError(f"score {value!r} outside [0,10]", field_path)
 
 
-def _check_scores(values, field_path: str) -> bool:
-    """``_check_score`` on each entry, in one pass when all are plain ints;
-    True iff they are."""
-    if (set(map(type, values)) == {int}
-            and SCORE_MIN <= min(values) and max(values) <= SCORE_MAX):
-        return True
-    for i, v in enumerate(values):
-        _check_score(v, f"{field_path}[{i}]")
-    return False
-
-
 _INT_SCORES = bytes(range(SCORE_MIN, SCORE_MAX + 1))
 
 
 def _score_row(row, field_path: str):
     """The checked ``row`` as stored: ``bytes`` when every score is a plain
-    int, else a tuple. A ``bytes`` row is checked with one ``translate``."""
-    if type(row) is bytes and not row.translate(None, _INT_SCORES):
-        return row
-    return bytes(row) if _check_scores(row, field_path) else tuple(row)
+    int, else a tuple. A ``bytes`` row is checked with one ``translate``
+    and any other row of plain ints in one pass; the rest, and a row those
+    checks refuse, entry by entry, so a diagnostic names the entry."""
+    if type(row) is bytes:
+        if not row.translate(None, _INT_SCORES):
+            return row
+    elif (set(map(type, row)) == {int}
+            and SCORE_MIN <= min(row) and max(row) <= SCORE_MAX):
+        return bytes(row)
+    for i, v in enumerate(row):
+        _check_score(v, f"{field_path}[{i}]")
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class Instance:
             if len(row) != size:
                 raise InstanceFormatError(
                     f"row has {len(row)} entries, expected {size}", f"lxi[{r}]")
-        _check_scores(self.lii, "lii")
+        _score_row(self.lii, "lii")
         rows = []
         for r, row in enumerate(self.lxi):
             rows.append(row := _score_row(row, f"lxi[{r}]"))
@@ -192,33 +189,22 @@ def read_json(path):
     if (size := os.stat(path).st_size) > _INPUT_MAX_BYTES:
         raise InstanceFormatError(
             f"file has {size} bytes, over the budget of {_INPUT_MAX_BYTES}")
-    fh = _BoundedFile(path)
+    with open(path, "rb") as fh:
+        data = fh.read(_INPUT_MAX_BYTES + 1)
+    if len(data) > _INPUT_MAX_BYTES:
+        raise InstanceFormatError(
+            f"file runs past the budget of {_INPUT_MAX_BYTES} bytes")
     try:
-        return json.load(fh)
+        # decoded as a UTF-8 text-mode read decodes (universal newlines);
+        # the bytes are let go before the parse
+        data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON (line {exc.lineno})") from exc
     except ValueError as exc:  # not UTF-8, or an over-long integer literal
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InstanceFormatError("JSON nested too deeply") from exc
-
-
-class _BoundedFile:
-    """The file ``name`` for one ``json.load``: read no further than a byte
-    past the input budget, and decoded by ``read`` as a UTF-8 text-mode file
-    decodes (universal newlines), after which its bytes are let go."""
-
-    def __init__(self, name):
-        with open(name, "rb") as fh:
-            self._data = fh.read(_INPUT_MAX_BYTES + 1)
-        if len(self._data) > _INPUT_MAX_BYTES:
-            raise InstanceFormatError(
-                f"file runs past the budget of {_INPUT_MAX_BYTES} bytes")
-        self.name = name
-
-    def read(self) -> str:
-        data, self._data = self._data, None
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
 def load_instance(path) -> Instance:

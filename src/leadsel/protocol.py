@@ -9,7 +9,8 @@ with ACK/NACK and followers retry down their candidate list.
 UE willing to lead, and none clearing the threshold) an incentive offer
 that may raise some lii; both phases; and the edge-server offer to the UEs
 still without a role, which node 0 makes and serves through the same
-device steps as any leader.
+device steps as any leader, its offer sent and logged by the phases'
+announcement step.
 
 A device is one ``NodeState``: its id, its own scores (lii and its stored
 lxi row) and its protocol state. It has five steps, each seeing only
@@ -29,10 +30,10 @@ the same announcers, so the simulator builds one announcer table per round
 and all its receivers share it. The table groups the announcers into runs
 of equal lii, best first, ids ascending within a run. A device reads a
 run's scores from its stored row in one call and takes the first maximum,
-the lowest id; a run holding SCORE_MAX ends the scan at its first such
-score. It reads the next run only while that run's lii could still reach
-the best total found. A follower requests its best candidate and ranks the
-rest from the same table only when that one answers NACK.
+the lowest id, or its first SCORE_MAX, which no score beats. It reads the
+next run only while that run's lii could still reach the best total
+found. A follower requests its best candidate and ranks the rest from the
+same table only when that one answers NACK.
 
 An episode keeps one message log, its ``Batch``es in send order: one per
 announcement round, one for the requests and one for the replies of each
@@ -197,9 +198,10 @@ def _best_candidate(device: NodeState, table: list) -> Optional[int]:
 
     No lxi exceeds SCORE_MAX, so the scan stops at the first run whose lii
     can no longer reach the best total found. A run tying that total is
-    still read, since a lower id there wins. A run holding SCORE_MAX ends
-    the scan at its first such score: no score beats it, and no later run
-    reaches its total.
+    still read, since a lower id there wins. A run holding SCORE_MAX is
+    read only up to its first such score, since no score beats it. Runs
+    have distinct lii, so that same test then ends the scan, unless float
+    rounding ties the next run's total, as it does in the ranking.
     """
     row = device.lxi_row
     best = best_key = None
@@ -211,8 +213,6 @@ def _best_candidate(device: NodeState, table: list) -> Optional[int]:
         key, n = neg - top, ids[scores.index(top)]
         if top > 0 and (best is None or (key, n) < (best_key, best)):
             best, best_key = n, key
-        if top == SCORE_MAX:
-            break
     return best
 
 
@@ -374,6 +374,16 @@ def _json_lines(batches: Iterable):
                 yield head + (tail + head).join(rest) + tail
 
 
+def _announce(log: MessageLog, cfg: ProtocolConfig, kind: str, phase: int,
+              rnd: int, group: tuple, announcers: list, offset: int) -> list:
+    """Each of the ``announcers`` (devices) reaches every other member of
+    ``group``; the round's table, which all receivers share, is returned."""
+    items = [(kind, state.id, None, state.lii) for state in announcers]
+    log.add(phase, rnd, cfg.transport, items,
+            None if cfg.transport == BROADCAST else group)
+    return _announcer_table([(-lii, n) for _, n, _, lii in items], offset)
+
+
 @dataclass
 class SimulationResult:
     leaders: set
@@ -405,18 +415,12 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     log = MessageLog()
     rnd = 0
 
-    def announce(kind: str, phase: int, group: tuple, members: list) -> list:
-        # Each of members reaches every other member of group. The round's
-        # announcer table is returned for all to share.
-        items = [(kind, n, None, states[n].lii) for n in members]
-        log.add(phase, rnd, cfg.transport, items,
-                None if cfg.transport == BROADCAST else group)
-        return _announcer_table([(-lii, n) for _, n, _, lii in items], off)
-
-    def request(requesters: list, announcers: list, phase: int,
-                at: int) -> list:
-        # each of requesters requests its best announcer in round at; the
-        # (sender, target) pairs are returned
+    def request_and_deliver(requesters: list, announcers: list, phase: int,
+                            at: int) -> None:
+        # each of requesters requests its best announcer in round at; then
+        # one pass per round delivers requests and retries (no node both
+        # serves and requests, so this is the same as serving them first)
+        nonlocal rnd
         pending = []
         for n in requesters:
             target = request_best(states[n], announcers)
@@ -424,12 +428,6 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
                 pending.append((n, target))
         log.add(phase, at, P2P, [(FOLLOW_REQUEST, m, n, None)
                                  for m, n in pending])
-        return pending
-
-    def deliver(pending: list, phase: int) -> None:
-        # one pass per round (no node both serves and requests, so this is
-        # the same as serving every request first)
-        nonlocal rnd
         while pending:
             rnd += 1
             rng.shuffle(pending)
@@ -453,8 +451,9 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
         state = states[n] = NodeState(n, lii, row)
         take_role(state, cfg)
         (candidates if state.role == CANDIDATE_LEADER else followers).append(n)
-    table = announce(ANNOUNCE, 1, tuple(ids), candidates)
-    deliver(request(followers, table, 1, rnd + 1), 1)
+    table = _announce(log, cfg, ANNOUNCE, 1, rnd, tuple(ids),
+                      [states[n] for n in candidates], off)
+    request_and_deliver(followers, table, 1, rnd + 1)
     leading, isolated = [], []
     for n in candidates:
         close_phase1(states[n])
@@ -464,8 +463,9 @@ def simulate_protocol(inst: Instance, cfg: ProtocolConfig,
     # Phase 2: re-announcements go to the phase-1 candidate set, and the
     # requests share their round, opened only if phase 1 had a candidate
     rnd += 1 if candidates else 0
-    table = announce(PHASE2_ANNOUNCE, 2, tuple(candidates), leading)
-    deliver(request(isolated, table, 2, rnd), 2)
+    table = _announce(log, cfg, PHASE2_ANNOUNCE, 2, rnd, tuple(candidates),
+                      [states[n] for n in leading], off)
+    request_and_deliver(isolated, table, 2, rnd)
 
     # phase 2 leaves the leaders as phase 1 closed them
     leaders = set(leading)
@@ -537,13 +537,13 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
     (attached with default scores when ``inst`` lacks it) takes its role
     and serves through the same device steps as any leader, so the
     threshold and its cap hold. If its lii clears rho, it announces itself
-    to those UEs (one broadcast, or under p2p one message to each, in id
-    order). Each of them, in id order, decides with ``request_best`` on its
-    own device, as for any announcer, and node 0 answers each request: ACK,
-    or NACK beyond its cap. The exchange is appended to ``log``, all of it
-    in round ``rnd``. Otherwise nothing is sent and the UEs end isolated.
-    Returns the instance, holding node 0 when it made the offer, and the
-    ``{ue: 0}`` follows it gained.
+    to those UEs through the phases' announcement step (one broadcast, or
+    under p2p one message to each, in id order). Each of them, in id order,
+    decides with ``request_best`` on its own device, as for any announcer,
+    and node 0 answers each request: ACK, or NACK beyond its cap. The
+    exchange is appended to ``log``, all of it in round ``rnd``. Otherwise
+    nothing is sent and the UEs end isolated. Returns the instance, holding
+    node 0 when it made the offer, and the ``{ue: 0}`` follows it gained.
     """
     if not (unresolved and cfg.edge_server_policy):
         return inst, {}
@@ -554,10 +554,8 @@ def run_fallback_process(inst: Instance, cfg: ProtocolConfig, unresolved,
     if edge.role != CANDIDATE_LEADER:
         return inst, {}
     ues = sorted(unresolved)
-    offer = [(ANNOUNCE, EDGE_SERVER_ID, None, edge.lii)]
-    log.add(2, rnd, cfg.transport, offer,
-            None if cfg.transport == BROADCAST else (EDGE_SERVER_ID, *ues))
-    table = _announcer_table([(-edge.lii, EDGE_SERVER_ID)], 0)
+    table = _announce(log, cfg, ANNOUNCE, 2, rnd, (EDGE_SERVER_ID, *ues),
+                      [edge], 0)
     pairs = []
     for m in ues:
         if request_best(NodeState(m, offered.lii[m], offered.lxi[m]),

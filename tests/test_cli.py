@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import leadsel
-from leadsel import cli, model, save_instance
+from leadsel import cli, generate_instance, model, save_instance
 from leadsel.cli import BENCH_MAX_N, COUNT_MAX_N, GEN_MAX_N, main
 from leadsel.counting import count_configs_exhaustive
 from leadsel.exhaustive import CONFIG_BUDGET
@@ -382,13 +382,13 @@ def test_input_file_over_the_budget_exits_2_unparsed(
     big = tmp_path / "big.json"
     with open(big, "wb") as fh:
         fh.truncate(budget + 1)  # sparse: no block is written
-    parsed, load = [], json.load
+    parsed, loads = [], json.loads
 
-    def recording_load(fh):
-        parsed.append(fh.name)
-        return load(fh)
+    def recording_loads(text, **kwargs):
+        parsed.append(text)
+        return loads(text, **kwargs)
 
-    monkeypatch.setattr(json, "load", recording_load)
+    monkeypatch.setattr(json, "loads", recording_loads)
     error = (f"bad {kind} file {big}: file has {budget + 1} bytes, over the "
              f"budget of {budget}")
     args = [str(big)] if kind == "instance" else [
@@ -398,12 +398,13 @@ def test_input_file_over_the_budget_exits_2_unparsed(
                                + command + args)
         assert result.exit_code == 2
         if json_errors:
-            assert json.loads(result.stderr) == {"error": error,
-                                                 "exit_code": 2}
+            assert loads(result.stderr) == {"error": error, "exit_code": 2}
         else:
             assert result.stderr == f"error: {error}\n"
     # only the instance file of a caps case reaches the parser
-    assert parsed == ([] if kind == "instance" else [instance_a_path] * 2)
+    with open(instance_a_path) as fh:
+        instance_text = fh.read()
+    assert parsed == ([] if kind == "instance" else [instance_text] * 2)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
@@ -440,6 +441,9 @@ def test_the_input_budget_admits_every_file_gen_writes(tmp_path):
     ({"0": 1}, "'0'"),
     ({"2": 1.5}, "'2'"),
     ({"1": 0, "01": 5}, "'01'"),
+    ({" 2 ": 1}, "' 2 '"),
+    ({"+3": 0}, "'+3'"),
+    ({"\u0661": 0}, "'\u0661'"),  # ARABIC-INDIC DIGIT ONE
 ])
 def test_caps_reject_bad_ids_and_limits(runner, instance_a_path, tmp_path,
                                         caps, key):
@@ -450,6 +454,19 @@ def test_caps_reject_bad_ids_and_limits(runner, instance_a_path, tmp_path,
                                                 instance_a_path])
         assert result.exit_code == 2
         assert f"key {key}" in result.output
+
+
+def test_caps_key_with_an_underscore_names_no_node(runner, tmp_path):
+    # int("1_0") is 10, a node of this instance
+    inst_path, path = tmp_path / "inst.json", tmp_path / "caps.json"
+    save_instance(generate_instance(12, 0), inst_path)
+    path.write_text('{"1_0": 0}')
+    for command in (["solve"], ["simulate", "--rho", "4"]):
+        result = runner.invoke(main, command + ["--caps", str(path),
+                                                str(inst_path)])
+        assert result.exit_code == 2
+        assert "key '1_0' is not a node id of the instance (1..12)" in \
+            result.output
 
 
 @pytest.mark.parametrize("case", [

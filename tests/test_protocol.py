@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -89,23 +90,23 @@ def _request(inst, m, candidates):
         [(-inst.lii[n - off], n) for n in candidates], off))
 
 
-def test_choose_leader_prefers_combined_score(instance_a):
+def test_request_best_prefers_combined_score(instance_a):
     assert _request(instance_a, 2, {1, 3}) == 1  # LI 13 vs 7
 
 
-def test_choose_leader_refuses_zero_scores():
+def test_request_best_refuses_zero_scores():
     inst = Instance(3, (9, 9, 0), ((0, 1, 1), (1, 0, 1), (0, 0, 0)))
     assert _request(inst, 3, {1, 2}) is None
 
 
-def test_choose_leader_tie_breaks_to_lower_id():
+def test_request_best_tie_breaks_to_lower_id():
     inst = Instance(3, (5, 5, 0), ((0, 1, 1), (1, 0, 1), (3, 3, 0)))
     assert _request(inst, 3, {1, 2}) == 1
 
 
 # -- node state machine -------------------------------------------------------
 
-def test_phase_start_announces_above_threshold():
+def test_take_role_announces_above_threshold():
     state = NodeState(1, 8, {2: 3})
     take_role(state, ProtocolConfig(rho=5))
     assert state.role == CANDIDATE_LEADER
@@ -115,7 +116,7 @@ def test_phase_start_announces_above_threshold():
     assert [(m.kind, m.sender, m.lii) for m in announced] == [(ANNOUNCE, 1, 8)]
 
 
-def test_phase_start_stays_quiet_below_threshold():
+def test_take_role_stays_quiet_below_threshold():
     state = NodeState(1, 3, {2: 3})
     take_role(state, ProtocolConfig(rho=5))
     assert state.role == FOLLOWER
@@ -637,6 +638,16 @@ def test_best_candidate_stops_at_score_max(data):
 ])
 def test_best_candidate_at_score_max_cases(row, lii, best):
     assert _assert_best_heads_ranking(row, lii, 4, {1, 2, 3}) == best
+
+
+def test_score_max_run_does_not_hide_a_total_that_rounds_equal():
+    # lii 9.5 and the next float up are two runs, but each plus 10 rounds to
+    # 19.5, so the ranking ties them and the lower id, in the lower run,
+    # wins; a scan ended by the top run's SCORE_MAX would take id 2
+    up = math.nextafter(9.5, 10)
+    assert -up - 10 == -9.5 - 10
+    assert _assert_best_heads_ranking([10, 10, 0], [9.5, up, 0], 3,
+                                      {1, 2}) == 1
 
 
 # Each case below needs the scan to read the run past a tie at the early
